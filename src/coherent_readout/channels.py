@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import ATOL_PHYSICAL, as_square_array, eigh_jacobi, kron
+from .linalg import ATOL_PHYSICAL, as_square_array, kron
 
 _ID2 = np.eye(2, dtype=complex)
 _PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -217,8 +217,8 @@ def random_channel(dim: int, n_kraus: int, seed) -> KrausChannel:
     s = np.zeros((dim, dim), dtype=complex)
     for g in raw:
         s += g.conj().T @ g
-    w, v = eigh_jacobi(s)
+    w, v = np.linalg.eigh(s)
     if w[0] <= 0.0:
         raise ValueError("degenerate sample: normalizer is singular")
-    s_inv_sqrt = v @ np.diag(1.0 / np.sqrt(w)) @ v.conj().T
+    s_inv_sqrt = (v / np.sqrt(w)) @ v.conj().T
     return KrausChannel(dim, tuple(g @ s_inv_sqrt for g in raw))

@@ -146,9 +146,7 @@ def cmd_mitigate(args) -> int:
     if not source:
         raise formats.FormatError("need --z or --counts")
     z = formats.distribution_from_obj(formats.load_json_file(source), model.dim)
-    options = solver.SolverOptions(
-        max_iterations=args.max_iters, residual_tol=args.tol, seed=args.seed
-    )
+    options = solver.SolverOptions(max_iterations=args.max_iters, residual_tol=args.tol)
     result = solver.mitigate(solver.MitigationProblem(model, z), options)
     print(
         f"residual {result.residual:.3e} after {result.iterations} iterations "
@@ -278,7 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--counts", help="JSON file with counts {'shots': S, 'counts': [...]}")
     p.add_argument("--max-iters", type=int, default=5000)
     p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--seed", type=int, default=0)
 
     add("paper-examples", cmd_paper_examples,
         "check the built-in noise zoo against its closed-form models")

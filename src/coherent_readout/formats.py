@@ -38,6 +38,8 @@ def complex_matrix_from_pairs(entries, dim: int, name: str = "matrix") -> np.nda
             flat[i] = complex(float(pair[0]), float(pair[1]))
         except (TypeError, ValueError):
             raise FormatError(f"{name} entry {i} has non-numeric parts") from None
+    if not np.all(np.isfinite(flat)):
+        raise FormatError(f"{name} has non-finite entries")
     return flat.reshape((dim, dim), order="C")
 
 
@@ -50,7 +52,10 @@ def _require(obj: dict, key: str, context: str):
 def _as_float(value, context: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise FormatError(f"{context} must be a number")
-    return float(value)
+    value = float(value)
+    if not np.isfinite(value):
+        raise FormatError(f"{context} must be finite")
+    return value
 
 
 def _read_dim(obj: dict, context: str) -> int:
@@ -188,6 +193,8 @@ def model_from_obj(obj) -> ReadoutModel:
         c_arr = np.array(c, dtype=float)
     except (TypeError, ValueError):
         raise FormatError("model matrices must be nested lists of numbers") from None
+    if not (np.all(np.isfinite(a_arr)) and np.all(np.isfinite(c_arr))):
+        raise FormatError("model matrices have non-finite entries")
     if a_arr.ndim != 2:
         raise FormatError("'A' must be a 2-d nested list")
     if ("dim" in obj or "n" in obj) and _read_dim(obj, "model spec") != a_arr.shape[0]:
@@ -220,13 +227,22 @@ def distribution_from_obj(obj, dim: int) -> np.ndarray:
     raise FormatError("distribution spec needs either 'z' or 'counts'")
 
 
+def _reject_constant(token: str):
+    raise FormatError(f"{token} is not a JSON number")
+
+
 def load_json_file(path) -> object:
+    """Parse a JSON file; the non-standard tokens NaN and +-Infinity are rejected.
+
+    Overflowing literals such as 1e999 still parse to inf, so the loaders
+    above check finiteness again after parsing.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, parse_constant=_reject_constant)
     except FileNotFoundError:
         raise FormatError(f"cannot open {path}") from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, FormatError) as exc:
         raise FormatError(f"invalid JSON in {path}: {exc}") from None
 
 

@@ -2,8 +2,7 @@
 
 Everything operates on plain numpy arrays (complex128, square, dense).
 Matrices here are small: the package targets desk-scale problems, N <= 64.
-The Hermitian eigensolver is a self-contained cyclic Jacobi iteration,
-which is simple and robust at these sizes.
+Hermitian eigenproblems go to LAPACK through numpy.linalg.
 """
 
 from __future__ import annotations
@@ -14,11 +13,6 @@ import numpy as np
 # preservation, completeness) versus exact structural identities.
 ATOL_PHYSICAL = 1e-10
 ATOL_STRUCTURAL = 1e-12
-
-# Cyclic Jacobi: stop when the off-diagonal Frobenius norm falls below
-# this threshold; quadratic convergence makes 100 sweeps very generous.
-JACOBI_OFFDIAG_TOL = 1e-13
-JACOBI_MAX_SWEEPS = 100
 
 
 def as_square_array(m, name: str = "matrix") -> np.ndarray:
@@ -67,85 +61,6 @@ def unvec(v, dim: int) -> np.ndarray:
     return a.reshape((dim, dim), order="F")
 
 
-def offdiag_frobenius(m) -> float:
-    a = np.asarray(m)
-    return float(np.linalg.norm(a - np.diag(np.diag(a))))
-
-
-def eigh_jacobi(m, tol: float = JACOBI_OFFDIAG_TOL, max_sweeps: int = JACOBI_MAX_SWEEPS):
-    """Eigendecomposition of a Hermitian matrix by cyclic Jacobi rotations.
-
-    Each sweep visits every off-diagonal pair (p, q) once and applies the
-    complex Givens rotation that zeroes a[p, q]. Iteration stops when the
-    off-diagonal Frobenius norm drops below ``tol``; exceeding
-    ``max_sweeps`` raises LinAlgError.
-
-    The input is replaced by its Hermitian part before iterating. Returns
-    ``(w, v)`` with eigenvalues ``w`` ascending and unitary ``v`` whose
-    columns are the matching eigenvectors, so ``m ~= v @ diag(w) @ v^dag``.
-    """
-    a = hermitian_part(m)
-    n = a.shape[0]
-    v = np.eye(n, dtype=complex)
-    if n < 2:
-        return a.diagonal().real.copy(), v
-
-    converged = False
-    for _ in range(max_sweeps):
-        if offdiag_frobenius(a) <= tol:
-            converged = True
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                r = abs(apq)
-                if r == 0.0:
-                    continue
-                if r < 1e-300:
-                    # Below any meaningful scale; zeroing directly avoids
-                    # overflow in the rotation-angle formula.
-                    a[p, q] = 0.0
-                    a[q, p] = 0.0
-                    continue
-                # Rotation angle: tan(2*theta) = 2r / (a_pp - a_qq).
-                tau = (a[q, q].real - a[p, p].real) / (2.0 * r)
-                t = 1.0 / (abs(tau) + np.sqrt(1.0 + tau * tau))
-                if tau < 0.0:
-                    t = -t
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                u = apq / r  # phase e^{i alpha} of the pivot entry
-
-                # a <- J^dag a J with J[p,p]=J[q,q]=c, J[p,q]=s*u, J[q,p]=-s*conj(u)
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * np.conj(u) * col_q
-                a[:, q] = s * u * col_p + c * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - s * u * row_q
-                a[q, :] = s * np.conj(u) * row_p + c * row_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                a[p, p] = a[p, p].real
-                a[q, q] = a[q, q].real
-
-                vec_p = v[:, p].copy()
-                vec_q = v[:, q].copy()
-                v[:, p] = c * vec_p - s * np.conj(u) * vec_q
-                v[:, q] = s * u * vec_p + c * vec_q
-    if not converged and offdiag_frobenius(a) > tol:
-        raise np.linalg.LinAlgError(
-            f"Jacobi eigensolver did not converge in {max_sweeps} sweeps "
-            f"(off-diagonal norm {offdiag_frobenius(a):.3e})"
-        )
-
-    w = a.diagonal().real.copy()
-    order = np.argsort(w, kind="stable")
-    return w[order], v[:, order]
-
-
 def min_eigenvalue_hermitian(m) -> float:
     """Smallest eigenvalue of the Hermitian part of m."""
-    w, _ = eigh_jacobi(m)
-    return float(w[0])
+    return float(np.linalg.eigvalsh(hermitian_part(m))[0])

@@ -22,7 +22,7 @@ import numpy as np
 from .channels import KrausChannel, superoperator
 from .linalg import ATOL_PHYSICAL, ATOL_STRUCTURAL, unvec, vec
 from .povm import Povm
-from .states import DensityMatrix, StateDecomposition, coherence_pairs
+from .states import DensityMatrix, StateDecomposition, pack_coherences
 
 
 @dataclass(frozen=True)
@@ -47,6 +47,8 @@ class ReadoutModel:
             raise ValueError(
                 f"coherence response must have shape ({n}, {n * (n - 1)}), got {c.shape}"
             )
+        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(c))):
+            raise ValueError("readout model contains non-finite entries")
         if np.max(np.abs(a.sum(axis=0) - 1.0)) > ATOL_PHYSICAL:
             raise ValueError("assignment matrix columns must sum to 1")
         if a.min() < -ATOL_PHYSICAL or a.max() > 1.0 + ATOL_PHYSICAL:
@@ -63,19 +65,12 @@ class ReadoutModel:
 
 def extract(p: Povm) -> ReadoutModel:
     """Read the model coefficients off the POVM elements."""
-    n = p.dim
-    a = np.empty((n, n), dtype=float)
-    c = np.empty((n, n * (n - 1)), dtype=float)
-    pairs = coherence_pairs(n)
-    for k, f in enumerate(p.elements):
-        diag = f.diagonal()
-        if diag.size and np.max(np.abs(diag.imag)) > ATOL_STRUCTURAL:
-            raise ValueError(f"POVM element {k} has non-real diagonal")
-        a[k, :] = diag.real
-        for i, (l, r) in enumerate(pairs):
-            c[k, 2 * i] = 2.0 * f[l, r].real
-            c[k, 2 * i + 1] = 2.0 * f[l, r].imag
-    return ReadoutModel(assignment=a, coherence=c)
+    elements = np.array(p.elements, dtype=complex)
+    diag = np.diagonal(elements, axis1=1, axis2=2)
+    bad = np.flatnonzero(np.max(np.abs(diag.imag), axis=1) > ATOL_STRUCTURAL)
+    if bad.size:
+        raise ValueError(f"POVM element {bad[0]} has non-real diagonal")
+    return ReadoutModel(assignment=diag.real.copy(), coherence=2.0 * pack_coherences(elements))
 
 
 def forward(model: ReadoutModel, decomp: StateDecomposition) -> np.ndarray:

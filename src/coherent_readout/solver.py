@@ -5,9 +5,11 @@ The mitigation problem is underdetermined: one observed distribution z
 pseudoinverse solution, the solver runs projected gradient descent on
 0.5 * ||z - B v||^2 with B = [A C], projecting every iterate back to the
 set of coordinates whose reconstructed matrix is a valid density matrix.
-The step size is 1/L with L the largest eigenvalue of B^T B, found by
-power iteration. A classical assignment-only inverter is included for
-comparison.
+That projection is Euclidean in the Frobenius norm of the matrix,
+||rho||_F^2 = v^T D v with D = 1 on populations and 2 on coherences (each
+coherence pair appears twice in rho), so the gradient step is taken in the
+same metric: v - s D^{-1} B^T (B v - z), with s = 1 / ||B D^{-1/2}||_2^2.
+A classical assignment-only inverter is included for comparison.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import eigh_jacobi
 from .readout import ReadoutModel
 from .states import assemble_matrix, split_matrix
 
@@ -26,11 +27,8 @@ _DISPLACEMENT_TOL = 1e-12
 @dataclass(frozen=True)
 class SolverOptions:
     max_iterations: int = 5000
-    step_size: float | None = None  # None: use 1/L from power iteration
+    step_size: float | None = None  # None: 1 / ||B D^{-1/2}||_2^2
     residual_tol: float = 1e-9
-    norm: str = "euclidean"
-    seed: int = 0
-    objective: str = "least-squares"  # placeholder for alternative objectives
 
     def __post_init__(self):
         if self.max_iterations < 1:
@@ -39,10 +37,6 @@ class SolverOptions:
             raise ValueError("step_size must be positive")
         if not self.residual_tol > 0.0:
             raise ValueError("residual_tol must be positive")
-        if self.norm != "euclidean":
-            raise ValueError(f"unsupported norm {self.norm!r}")
-        if self.objective != "least-squares":
-            raise ValueError(f"unsupported objective {self.objective!r}")
 
 
 @dataclass(frozen=True)
@@ -105,29 +99,16 @@ def project_to_density_set(x, y) -> tuple[np.ndarray, np.ndarray]:
     and park the solver at a non-optimal point.
     """
     m = assemble_matrix(x, y)
-    w, v = eigh_jacobi(m)
+    w, v = np.linalg.eigh(m)
     if np.max(w) <= 0.0:
         raise ValueError("projection degenerate: no positive eigenvalue mass")
     w = project_to_simplex(w)
-    return split_matrix(v @ np.diag(w) @ v.conj().T)
+    return split_matrix((v * w) @ v.conj().T)
 
 
-def _largest_eigenvalue(m: np.ndarray, rng, iterations: int = 200, tol: float = 1e-10) -> float:
-    """Power iteration for the top eigenvalue of a symmetric PSD matrix."""
-    u = rng.standard_normal(m.shape[0])
-    u /= np.linalg.norm(u)
-    lam = 0.0
-    for _ in range(iterations):
-        w = m @ u
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            return 0.0
-        u = w / norm
-        lam_new = float(u @ (m @ u))
-        if abs(lam_new - lam) <= tol * max(1.0, abs(lam_new)):
-            return lam_new
-        lam = lam_new
-    return lam
+def _largest_eigenvalue(b: np.ndarray) -> float:
+    """Largest eigenvalue of b^T b, the squared spectral norm of b."""
+    return float(np.linalg.norm(b, 2)) ** 2
 
 
 def mitigate(problem: MitigationProblem, options: SolverOptions | None = None) -> MitigationResult:
@@ -142,12 +123,12 @@ def mitigate(problem: MitigationProblem, options: SolverOptions | None = None) -
     z = problem.z_observed
     n = model.dim
     b = assemble_b(model)
+    d_inv = np.concatenate([np.ones(n), np.full(n * (n - 1), 0.5)])
 
     if opts.step_size is not None:
         step = opts.step_size
     else:
-        rng = np.random.default_rng(opts.seed)
-        lam = _largest_eigenvalue(b.T @ b, rng)
+        lam = _largest_eigenvalue(b * np.sqrt(d_inv))
         if lam <= 0.0:
             raise ValueError("model matrix has no positive curvature; cannot set a step size")
         step = 1.0 / lam
@@ -160,8 +141,7 @@ def mitigate(problem: MitigationProblem, options: SolverOptions | None = None) -
     iterations = 0
 
     while not converged and iterations < opts.max_iterations:
-        grad = b.T @ (b @ v - z)
-        trial = v - step * grad
+        trial = v - step * d_inv * (b.T @ (b @ v - z))
         x_new, y_new = project_to_density_set(trial[:n], trial[n:])
         v_new = np.concatenate([x_new, y_new])
         displacement = float(np.linalg.norm(v_new - v))

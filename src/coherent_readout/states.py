@@ -11,15 +11,39 @@ mitigation solver, so it is defined once here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .linalg import ATOL_PHYSICAL, as_square_array, is_hermitian, min_eigenvalue_hermitian
 
 
+@lru_cache(maxsize=None)
+def _upper_index(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the pairs l < r, lexicographic; read-only, shared."""
+    rows, cols = np.triu_indices(dim, 1)
+    rows.flags.writeable = False
+    cols.flags.writeable = False
+    return rows, cols
+
+
 def coherence_pairs(dim: int) -> list[tuple[int, int]]:
     """Index pairs (l, r) with l < r, lexicographic; the coherence vector order."""
-    return [(l, r) for l in range(dim) for r in range(l + 1, dim)]
+    rows, cols = _upper_index(dim)
+    return list(zip(rows.tolist(), cols.tolist()))
+
+
+def pack_coherences(m) -> np.ndarray:
+    """Upper-triangle entries of m as interleaved (Re, Im) coordinates.
+
+    m is a complex array whose last two axes are N x N; leading axes are
+    kept, so a stack of K matrices gives a K x N(N-1) array.
+    """
+    m = np.asarray(m, dtype=complex)
+    rows, cols = _upper_index(m.shape[-1])
+    # The float view of a C-contiguous complex128 array is exactly the
+    # (Re, Im) interleaving.
+    return np.ascontiguousarray(m[..., rows, cols]).view(float)
 
 
 @dataclass(frozen=True)
@@ -62,6 +86,8 @@ class StateDecomposition:
             raise ValueError(
                 f"coherence vector must have length N(N-1) = {n * (n - 1)}, got {y.size}"
             )
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+            raise ValueError("state coordinates contain non-finite entries")
         if abs(x.sum() - 1.0) > ATOL_PHYSICAL:
             raise ValueError(f"populations must sum to 1, got {x.sum()!r}")
         if x.min() < -ATOL_PHYSICAL:
@@ -77,13 +103,7 @@ class StateDecomposition:
 def split_matrix(m) -> tuple[np.ndarray, np.ndarray]:
     """Raw coordinate extraction from a Hermitian matrix; no physicality checks."""
     a = as_square_array(m)
-    n = a.shape[0]
-    x = a.diagonal().real.copy()
-    y = np.empty(n * (n - 1), dtype=float)
-    for i, (l, r) in enumerate(coherence_pairs(n)):
-        y[2 * i] = a[l, r].real
-        y[2 * i + 1] = a[l, r].imag
-    return x, y
+    return a.diagonal().real.copy(), pack_coherences(a)
 
 
 def assemble_matrix(x, y) -> np.ndarray:
@@ -95,12 +115,12 @@ def assemble_matrix(x, y) -> np.ndarray:
         raise ValueError(
             f"coherence vector must have length N(N-1) = {n * (n - 1)}, got {y.size}"
         )
+    c = np.ascontiguousarray(y).view(complex)
+    rows, cols = _upper_index(n)
     m = np.zeros((n, n), dtype=complex)
     np.fill_diagonal(m, x)
-    for i, (l, r) in enumerate(coherence_pairs(n)):
-        c = complex(y[2 * i], y[2 * i + 1])
-        m[l, r] = c
-        m[r, l] = c.conjugate()
+    m[rows, cols] = c
+    m[cols, rows] = c.conj()
     return m
 
 

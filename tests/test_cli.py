@@ -278,6 +278,41 @@ def test_unphysical_state_is_domain_error(capsys, write_json):
     assert code == 1
 
 
+def test_nan_model_is_usage_error_on_one_line(capsys, write_json):
+    # json.dumps writes the non-standard token NaN.
+    model = write_json("model.json", {"A": [[float("nan"), 0.5], [0.0, 0.5]], "C": [[0.0, 0.0], [0.0, 0.0]]})
+    z = write_json("z.json", {"z": [0.5, 0.5]})
+    code = main(["mitigate", "--model", model, "--z", z])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "flag, text",
+    [
+        ("--model", '{"A": [[1e999, 0.0], [0.0, 1.0]], "C": [[0.0, 0.0], [0.0, 0.0]]}'),
+        ("--z", '{"z": [1e999, 0.5]}'),
+        ("--counts", '{"shots": 2, "counts": [1, 1e999]}'),
+        ("--channel", '{"dim": 2, "kraus": [[[1e999, 0], [0, 0], [0, 0], [1, 0]]]}'),
+    ],
+)
+def test_overflowing_number_is_usage_error(capsys, tmp_path, write_json, flag, text):
+    # 1e999 is valid JSON that parses to inf without any NaN/Infinity token.
+    inputs = {
+        "--model": write_json("model.json", {"A": [[1.0, 0.0], [0.0, 1.0]], "C": [[0.0, 0.0], [0.0, 0.0]]}),
+        "--z": write_json("z.json", {"z": [0.5, 0.5]}),
+    }
+    inputs.pop("--model" if flag == "--channel" else "--z" if flag == "--counts" else flag)
+    inputs[flag] = str(tmp_path / "bad.json")
+    (tmp_path / "bad.json").write_text(text)
+    code = main(["mitigate", *(arg for pair in inputs.items() for arg in pair)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert len(captured.err.strip().splitlines()) == 1
+
+
 def test_unknown_subcommand_is_usage_error(capsys):
     assert main(["frobnicate"]) == 2
     capsys.readouterr()

@@ -128,6 +128,18 @@ def test_model_rejects_nonzero_coherence_column_sum():
         ReadoutModel(assignment=np.eye(2), coherence=c)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_model_rejects_non_finite_entries(bad):
+    a = np.eye(2)
+    a[0, 1] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        ReadoutModel(assignment=a, coherence=np.zeros((2, 2)))
+    c = np.zeros((2, 2))
+    c[1, 0] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        ReadoutModel(assignment=np.eye(2), coherence=c)
+
+
 @given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([2, 4]))
 @settings(max_examples=30, deadline=None)
 def test_extracted_models_satisfy_column_constraints(seed, dim):

@@ -139,6 +139,14 @@ def test_state_decomposition_validation():
         StateDecomposition(np.array([0.5, 0.5]), np.zeros(3))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_state_decomposition_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="non-finite"):
+        StateDecomposition(np.array([bad, 0.5]), np.zeros(2))
+    with pytest.raises(ValueError, match="non-finite"):
+        StateDecomposition(np.array([0.5, 0.5]), np.array([0.0, bad]))
+
+
 def test_reconstruct_dimension_check():
     d = decompose(random_density(1, 1))
     with pytest.raises(ValueError):
