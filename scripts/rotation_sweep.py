@@ -4,7 +4,10 @@ For each angle the plus state is pushed through a y-rotation readout.
 The coherence term shifts the observed distribution by sin(t)/2, which an
 assignment-only inversion misreads as a population change; the constrained
 solver explains the same data with the true populations. Prints one table
-row per angle and optionally dumps the records as JSON.
+row per angle and optionally dumps the records as JSON. At t = pi/2 (in the
+grid whenever --steps is odd) the assignment matrix is singular, so the
+assignment-only inversion is undefined there: "singular" in the table,
+null in the JSON.
 """
 
 import argparse
@@ -26,14 +29,17 @@ def sweep(angles):
     for theta in angles:
         model = extract(effective_povm(rotation_y(theta)))
         z = forward(model, plus)
-        x_classical = classical_invert(model, z)
+        try:
+            classical_error = float(np.max(np.abs(classical_invert(model, z) - plus.populations)))
+        except ValueError:  # singular assignment matrix
+            classical_error = None
         res = mitigate(MitigationProblem(model=model, z_observed=z))
         records.append(
             {
                 "theta": float(theta),
                 "nonclassicality": nonclassicality(model),
                 "z0": float(z[0]),
-                "classical_x_error": float(np.max(np.abs(x_classical - plus.populations))),
+                "classical_x_error": classical_error,
                 "mitigate_residual": res.residual,
                 "mitigate_iterations": res.iterations,
             }
@@ -54,9 +60,11 @@ def main(argv=None) -> int:
 
     print(f"{'theta':>8} {'nonclass':>10} {'z0':>10} {'classical err':>14} {'residual':>10} {'iters':>6}")
     for r in records:
+        err = r["classical_x_error"]
+        classical = "singular" if err is None else f"{err:.6f}"
         print(
             f"{r['theta']:8.4f} {r['nonclassicality']:10.6f} {r['z0']:10.6f} "
-            f"{r['classical_x_error']:14.6f} {r['mitigate_residual']:10.2e} "
+            f"{classical:>14} {r['mitigate_residual']:10.2e} "
             f"{r['mitigate_iterations']:6d}"
         )
 

@@ -28,6 +28,8 @@ def _coerce_ops(ops, dim: int) -> tuple[np.ndarray, ...]:
     coerced = []
     for i, op in enumerate(ops):
         a = as_square_array(op, name=f"Kraus operator {i}")
+        if not np.all(np.isfinite(a)):
+            raise ValueError(f"Kraus operator {i} contains non-finite entries")
         if a.shape[0] != dim:
             raise ValueError(
                 f"Kraus operator {i} has dimension {a.shape[0]}, expected {dim}"

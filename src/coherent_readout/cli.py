@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from . import channels, formats, povm, readout, solver
-from .linalg import ATOL_PHYSICAL, ATOL_STRUCTURAL, is_hermitian, min_eigenvalue_hermitian
+from .linalg import ATOL_PHYSICAL, ATOL_STRUCTURAL
 from .states import decompose
 
 _SAMPLE_DEFAULT_SEED = 0
@@ -51,13 +51,11 @@ def cmd_channel_validate(args) -> int:
         return 1
 
     ch = channels.KrausChannel(dim, tuple(ops))
-    elements = [channels.adjoint_apply(ch, _basis_projector(dim, k)) for k in range(dim)]
-    herm = max(float(np.max(np.abs(e - e.conj().T))) for e in elements)
-    pos = max(0.0, -min(min_eigenvalue_hermitian(e) for e in elements))
-    comp = float(np.max(np.abs(sum(elements) - np.eye(dim))))
+    p = povm.effective_povm(ch)
+    check = povm.validate_povm(p.elements)
+    herm, pos, comp = check.hermiticity_defect, check.positivity_defect, check.completeness_defect
     kd = povm.kernel_diag_defect(ch)
-    od = povm.offdiag_defect(povm.Povm(dim, tuple(elements)))
-    povm_pass = herm <= ATOL_PHYSICAL and pos <= ATOL_PHYSICAL and comp <= ATOL_PHYSICAL
+    od = povm.offdiag_defect(p)
     result.update(
         {
             "povm_hermiticity_defect": herm,
@@ -66,8 +64,8 @@ def cmd_channel_validate(args) -> int:
             "kernel_diag_defect": kd,
             "povm_offdiag_defect": od,
             "C-classical": bool(kd <= ATOL_STRUCTURAL),
-            "povm": [formats.complex_matrix_to_pairs(e) for e in elements],
-            "pass": bool(povm_pass),
+            "povm": [formats.complex_matrix_to_pairs(e) for e in p.elements],
+            "pass": check.passed,
         }
     )
     print(
@@ -76,13 +74,7 @@ def cmd_channel_validate(args) -> int:
         file=sys.stderr,
     )
     _emit(result, args.out)
-    return 0 if povm_pass else 1
-
-
-def _basis_projector(dim: int, k: int) -> np.ndarray:
-    proj = np.zeros((dim, dim), dtype=complex)
-    proj[k, k] = 1.0
-    return proj
+    return 0 if check.passed else 1
 
 
 def cmd_model_extract(args) -> int:
@@ -166,47 +158,10 @@ def cmd_mitigate(args) -> int:
     return 0
 
 
-def _closed_form_cases():
-    cases = []
-    for lam in (0.0, 0.5, 1.0):
-        cases.append(
-            (
-                "dephasing",
-                lam,
-                channels.dephasing(lam),
-                np.eye(2),
-                np.zeros((2, 2)),
-            )
-        )
-    for gamma in (0.0, 0.3, 1.0):
-        cases.append(
-            (
-                "amplitude_damping",
-                gamma,
-                channels.amplitude_damping(gamma),
-                np.array([[1.0, gamma], [0.0, 1.0 - gamma]]),
-                np.zeros((2, 2)),
-            )
-        )
-    for theta in (0.0, 0.3, np.pi / 2, np.pi):
-        c2 = np.cos(theta / 2.0) ** 2
-        s2 = np.sin(theta / 2.0) ** 2
-        cases.append(
-            (
-                "rotation_y",
-                theta,
-                channels.rotation_y(theta),
-                np.array([[c2, s2], [s2, c2]]),
-                np.array([[np.sin(theta), 0.0], [-np.sin(theta), 0.0]]),
-            )
-        )
-    return cases
-
-
 def cmd_paper_examples(args) -> int:
     records = []
     all_pass = True
-    for name, parameter, ch, a_exp, c_exp in _closed_form_cases():
+    for name, parameter, ch, a_exp, c_exp in readout.closed_form_zoo():
         model = readout.extract(povm.effective_povm(ch))
         err = max(
             float(np.max(np.abs(model.assignment - a_exp))),

@@ -58,19 +58,23 @@ def _as_float(value, context: str) -> float:
     return value
 
 
+def _is_positive_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
 def _read_dim(obj: dict, context: str) -> int:
+    n = obj.get("n")
+    if "n" in obj and not _is_positive_int(n):
+        raise FormatError(f"{context}: qubit count n must be a positive integer")
     if "dim" in obj:
         dim = obj["dim"]
     elif "n" in obj:
-        n = obj["n"]
-        if not isinstance(n, int) or n < 1:
-            raise FormatError(f"{context}: qubit count n must be a positive integer")
         dim = 2**n
     else:
         raise FormatError(f"{context} needs either 'dim' or 'n'")
-    if not isinstance(dim, int) or dim < 1:
+    if not _is_positive_int(dim):
         raise FormatError(f"{context}: dim must be a positive integer")
-    if "dim" in obj and "n" in obj and 2 ** obj["n"] != dim:
+    if "n" in obj and 2**n != dim:
         raise FormatError(f"{context}: inconsistent 'dim' and 'n'")
     return dim
 

@@ -10,7 +10,8 @@ coordinates of states.StateDecomposition.
 
 oracle_probabilities reproduces z through the full superoperator without
 touching the POVM coefficient path, which pins every sign and ordering
-convention above.
+convention above. closed_form_zoo lists the built-in channels whose (A, C)
+is known in closed form.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import KrausChannel, superoperator
+from .channels import KrausChannel, amplitude_damping, dephasing, rotation_y, superoperator
 from .linalg import ATOL_PHYSICAL, ATOL_STRUCTURAL, unvec, vec
 from .povm import Povm
 from .states import DensityMatrix, StateDecomposition, pack_coherences
@@ -110,3 +111,20 @@ def nonclassicality(model: ReadoutModel, norm: str = "max") -> float:
     if norm == "frobenius":
         return float(np.linalg.norm(model.coherence))
     raise ValueError(f"unknown norm {norm!r}, expected 'max' or 'frobenius'")
+
+
+def closed_form_zoo() -> list[tuple[str, float, KrausChannel, np.ndarray, np.ndarray]]:
+    """Built-in channels with their closed-form models: (name, parameter, channel, A, C)."""
+    cases = []
+    for lam in (0.0, 0.5, 1.0):
+        cases.append(("dephasing", lam, dephasing(lam), np.eye(2), np.zeros((2, 2))))
+    for gamma in (0.0, 0.3, 1.0):
+        a = np.array([[1.0, gamma], [0.0, 1.0 - gamma]])
+        cases.append(("amplitude_damping", gamma, amplitude_damping(gamma), a, np.zeros((2, 2))))
+    for theta in (0.0, 0.3, np.pi / 2, np.pi):
+        c2 = np.cos(theta / 2.0) ** 2
+        s2 = np.sin(theta / 2.0) ** 2
+        a = np.array([[c2, s2], [s2, c2]])
+        c = np.array([[np.sin(theta), 0.0], [-np.sin(theta), 0.0]])
+        cases.append(("rotation_y", theta, rotation_y(theta), a, c))
+    return cases

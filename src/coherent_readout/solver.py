@@ -22,19 +22,17 @@ from .readout import ReadoutModel
 from .states import assemble_matrix, split_matrix
 
 _DISPLACEMENT_TOL = 1e-12
+_SINGULAR_TOL = 1e-12
 
 
 @dataclass(frozen=True)
 class SolverOptions:
     max_iterations: int = 5000
-    step_size: float | None = None  # None: 1 / ||B D^{-1/2}||_2^2
     residual_tol: float = 1e-9
 
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.step_size is not None and not self.step_size > 0.0:
-            raise ValueError("step_size must be positive")
         if not self.residual_tol > 0.0:
             raise ValueError("residual_tol must be positive")
 
@@ -125,13 +123,10 @@ def mitigate(problem: MitigationProblem, options: SolverOptions | None = None) -
     b = assemble_b(model)
     d_inv = np.concatenate([np.ones(n), np.full(n * (n - 1), 0.5)])
 
-    if opts.step_size is not None:
-        step = opts.step_size
-    else:
-        lam = _largest_eigenvalue(b * np.sqrt(d_inv))
-        if lam <= 0.0:
-            raise ValueError("model matrix has no positive curvature; cannot set a step size")
-        step = 1.0 / lam
+    lam = _largest_eigenvalue(b * np.sqrt(d_inv))
+    if lam <= 0.0:
+        raise ValueError("model matrix has no positive curvature; cannot set a step size")
+    step = 1.0 / lam
 
     v = np.concatenate([np.full(n, 1.0 / n), np.zeros(n * (n - 1))])
     residual = float(np.linalg.norm(z - b @ v))
@@ -168,16 +163,16 @@ def mitigate(problem: MitigationProblem, options: SolverOptions | None = None) -
     )
 
 
-def classical_invert(model: ReadoutModel, z, singular_tol: float = 1e-12) -> np.ndarray:
+def classical_invert(model: ReadoutModel, z) -> np.ndarray:
     """Assignment-only mitigation: least-squares solve of A x = z, then simplex projection."""
     z = np.asarray(z, dtype=float)
     if z.shape != (model.dim,):
         raise ValueError(f"distribution must have shape ({model.dim},), got {z.shape}")
     a = model.assignment
     svals = np.linalg.svd(a, compute_uv=False)
-    if svals[-1] <= singular_tol * max(1.0, svals[0]):
+    if svals[-1] <= _SINGULAR_TOL * max(1.0, svals[0]):
         raise ValueError(
-            f"assignment matrix is singular at tolerance {singular_tol:.1e} "
+            f"assignment matrix is singular at tolerance {_SINGULAR_TOL:.1e} "
             f"(smallest singular value {svals[-1]:.3e})"
         )
     x_ls, *_ = np.linalg.lstsq(a, z, rcond=None)

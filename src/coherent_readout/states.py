@@ -55,6 +55,8 @@ class DensityMatrix:
     def __post_init__(self):
         a = as_square_array(self.matrix, name="density matrix")
         object.__setattr__(self, "matrix", a)
+        if not np.all(np.isfinite(a)):
+            raise ValueError("density matrix contains non-finite entries")
         if not is_hermitian(a, ATOL_PHYSICAL):
             raise ValueError("density matrix is not Hermitian within 1e-10")
         trace = complex(np.trace(a))
@@ -132,14 +134,12 @@ def decompose(rho) -> StateDecomposition:
     return StateDecomposition(populations=x, coherences=y)
 
 
-def reconstruct(decomp: StateDecomposition, dim: int | None = None) -> np.ndarray:
+def reconstruct(decomp: StateDecomposition) -> np.ndarray:
     """Matrix form of a decomposition. Exact inverse of decompose.
 
     Hermitian by construction; positivity is not implied for arbitrary
     coordinates, so the return value is a plain array.
     """
-    if dim is not None and dim != decomp.dim:
-        raise ValueError(f"dimension mismatch: decomposition has {decomp.dim}, got {dim}")
     return assemble_matrix(decomp.populations, decomp.coherences)
 
 

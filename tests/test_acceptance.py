@@ -26,7 +26,6 @@ import numpy as np
 
 from coherent_readout.channels import (
     amplitude_damping,
-    dephasing,
     pauli_channel,
     random_channel,
     rotation_y,
@@ -34,6 +33,7 @@ from coherent_readout.channels import (
 from coherent_readout.povm import effective_povm, kernel_diag_defect
 from coherent_readout.readout import (
     classical_forward,
+    closed_form_zoo,
     extract,
     forward,
     nonclassicality,
@@ -61,23 +61,6 @@ def report(criterion: int, ok: bool, detail: str) -> str:
 
 def model_of(ch):
     return extract(effective_povm(ch))
-
-
-def zoo_cases():
-    """Built-in channels paired with their closed-form (A, C)."""
-    cases = []
-    for lam in (0.0, 0.5, 1.0):
-        cases.append((f"dephasing({lam})", dephasing(lam), np.eye(2), np.zeros((2, 2))))
-    for gamma in (0.0, 0.3, 1.0):
-        a = np.array([[1.0, gamma], [0.0, 1.0 - gamma]])
-        cases.append((f"amplitude_damping({gamma})", amplitude_damping(gamma), a, np.zeros((2, 2))))
-    for theta in (0.0, 0.3, np.pi / 2, np.pi):
-        c2 = np.cos(theta / 2.0) ** 2
-        s2 = np.sin(theta / 2.0) ** 2
-        a = np.array([[c2, s2], [s2, c2]])
-        c = np.array([[np.sin(theta), 0.0], [-np.sin(theta), 0.0]])
-        cases.append((f"rotation_y({theta:.6g})", rotation_y(theta), a, c))
-    return cases
 
 
 @lru_cache(maxsize=1)
@@ -131,7 +114,8 @@ def classical_recovery_problems():
 def test_criterion_1_zoo_closed_forms():
     start = time.perf_counter()
     worst = 0.0
-    for _, ch, a_exp, c_exp in zoo_cases():
+    zoo = closed_form_zoo()
+    for _, _, ch, a_exp, c_exp in zoo:
         model = model_of(ch)
         worst = max(
             worst,
@@ -140,7 +124,7 @@ def test_criterion_1_zoo_closed_forms():
         )
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-12 and elapsed < 1.0
-    line = report(1, ok, f"zoo of 10 closed forms, max entry error {worst:.2e}, {elapsed:.2f} s")
+    line = report(1, ok, f"zoo of {len(zoo)} closed forms, max entry error {worst:.2e}, {elapsed:.2f} s")
     assert ok, line
 
 
@@ -187,7 +171,7 @@ def test_criterion_3_diagonality_equivalences():
 def test_criterion_4_column_sum_structure():
     worst_a = 0.0
     worst_c = 0.0
-    models = [model_of(ch) for _, ch, _, _ in zoo_cases()]
+    models = [model_of(ch) for _, _, ch, _, _ in closed_form_zoo()]
     models += [model_of(ch) for ch, _ in random_pairs()]
     models += [model_of(ch) for ch in random_pauli_channels()]
     for m in models:

@@ -26,6 +26,16 @@ def test_validate_rejects_empty():
         channels.validate_cptp([])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_channel_constructor_rejects_non_finite(bad):
+    op = np.eye(2, dtype=complex)
+    op[0, 1] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        channels.KrausChannel(2, (op,))
+    with pytest.raises(ValueError, match="non-finite"):
+        channels.KrausChannel(2, (np.eye(2), np.full((2, 2), bad)))
+
+
 def test_channel_constructor_rejects_violations():
     with pytest.raises(ValueError, match="trace preservation"):
         channels.KrausChannel(2, (0.9 * np.eye(2),))

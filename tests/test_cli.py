@@ -10,10 +10,10 @@ import json
 import numpy as np
 import pytest
 
-from coherent_readout.channels import rotation_y
+from coherent_readout.channels import random_channel, rotation_y
 from coherent_readout.cli import main
-from coherent_readout.formats import model_from_obj
-from coherent_readout.povm import effective_povm
+from coherent_readout.formats import channel_to_obj, model_from_obj
+from coherent_readout.povm import effective_povm, validate_povm
 from coherent_readout.readout import extract
 
 IDENTITY_KRAUS = {"dim": 2, "kraus": [[[1, 0], [0, 0], [0, 0], [1, 0]]]}
@@ -58,6 +58,19 @@ def test_validate_rejects_trace_decreasing_map(capsys, write_json):
     assert code == 1
     assert doc["cptp_pass"] is False
     assert doc["pass"] is False
+
+
+@pytest.mark.parametrize("dim, seed", [(2, 30), (4, 31), (8, 32)])
+def test_validate_reports_the_povm_validator_defects(capsys, write_json, dim, seed):
+    ch = random_channel(dim, 3, seed)
+    path = write_json("ch.json", channel_to_obj(ch))
+    code, doc = run(capsys, "channel-validate", "--channel", path)
+    report = validate_povm(effective_povm(ch).elements)
+    assert code == 0
+    assert doc["povm_hermiticity_defect"] == report.hermiticity_defect
+    assert doc["povm_positivity_defect"] == report.positivity_defect
+    assert doc["povm_completeness_defect"] == report.completeness_defect
+    assert doc["pass"] is report.passed is True
 
 
 def test_validate_malformed_json_is_usage_error(capsys, tmp_path):
@@ -310,6 +323,22 @@ def test_overflowing_number_is_usage_error(capsys, tmp_path, write_json, flag, t
     code = main(["mitigate", *(arg for pair in inputs.items() for arg in pair)])
     captured = capsys.readouterr()
     assert code == 2
+    assert len(captured.err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"dim": 2, "n": "x", "kraus": IDENTITY_KRAUS["kraus"]},
+        {"builtin": "identity", "params": {"dim": 2, "n": "q"}},
+        {"dim": True, "kraus": [[[1, 0]]]},
+    ],
+)
+def test_non_integer_dimension_is_usage_error(capsys, write_json, spec):
+    code = main(["channel-validate", "--channel", write_json("ch.json", spec)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
     assert len(captured.err.strip().splitlines()) == 1
 
 

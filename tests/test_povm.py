@@ -64,6 +64,25 @@ def test_povm_rejects_negative_element():
         povm.Povm(2, (e0, np.eye(2) - e0))
 
 
+def test_validate_povm_reports_each_defect():
+    e0 = np.array([[0.5, 0.3], [0.0, -0.1]], dtype=complex)
+    report = povm.validate_povm([e0, 0.5 * np.eye(2)])
+    assert report.hermiticity_defect == pytest.approx(0.3)
+    assert report.positivity_defect == pytest.approx(np.sqrt(0.3**2 + 0.15**2) - 0.2)
+    assert report.completeness_defect == pytest.approx(0.6)
+    assert not report.passed
+    assert povm.validate_povm(povm.effective_povm(identity(2)).elements).passed
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_povm_rejects_non_finite(bad):
+    e0 = np.diag([bad, 0.5]).astype(complex)
+    with pytest.raises(ValueError, match="non-finite"):
+        povm.validate_povm([e0, np.eye(2) - e0])
+    with pytest.raises(ValueError, match="non-finite"):
+        povm.Povm(2, (e0, np.eye(2) - e0))
+
+
 def test_kernel_identity_channel_returns_units():
     ch = identity(2)
     for s in range(2):
@@ -140,9 +159,15 @@ def test_defect_measures_agree(dim, seed):
 
 @pytest.mark.parametrize("dim,seed", [(2, 20), (4, 21), (8, 22)])
 def test_povm_completeness_sums(dim, seed):
-    p = povm.effective_povm(random_channel(dim, 3, seed))
+    ch = random_channel(dim, 3, seed)
+    p = povm.effective_povm(ch)
     total = sum(p.elements)
     assert np.max(np.abs(total - np.eye(dim))) < 1e-12
+    # The batched builder against the per-outcome Heisenberg-picture route.
+    for k, element in enumerate(p.elements):
+        assert np.max(np.abs(element - channels.adjoint_apply(ch, unit(dim, k, k)))) < 1e-14
+    stack = np.array(p.elements)
+    assert np.max(np.abs(stack - stack.conj().swapaxes(1, 2))) < 1e-14
 
 
 def test_effective_povm_of_composite_channel():

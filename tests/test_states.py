@@ -120,6 +120,14 @@ def test_density_matrix_rejects_bad_trace():
         DensityMatrix(np.eye(2))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_density_matrix_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="non-finite"):
+        DensityMatrix(np.array([[bad, 0.0], [0.0, 0.5]]))
+    with pytest.raises(ValueError, match="non-finite"):
+        DensityMatrix(np.array([[0.5, bad], [bad, 0.5]]))
+
+
 def test_density_matrix_rejects_negative_eigenvalue():
     with pytest.raises(ValueError, match="negative eigenvalue"):
         DensityMatrix(np.diag([1.5, -0.5]))
@@ -148,10 +156,12 @@ def test_state_decomposition_rejects_non_finite(bad):
 
 
 def test_reconstruct_dimension_check():
-    d = decompose(random_density(1, 1))
-    with pytest.raises(ValueError):
-        reconstruct(d, dim=4)
-    assert reconstruct(d, dim=2).shape == (2, 2)
+    # The dimension comes from the decomposition itself; raw coordinates of
+    # mismatched lengths are rejected by assemble_matrix.
+    for n in (1, 2):
+        assert reconstruct(decompose(random_density(n, 1))).shape == (2**n, 2**n)
+    with pytest.raises(ValueError, match="N\\(N-1\\)"):
+        assemble_matrix([0.5, 0.5], [0.0, 0.0, 0.0])
 
 
 def test_assemble_matrix_is_hermitian_for_raw_coordinates():
