@@ -22,10 +22,13 @@ _SAMPLE_DEFAULT_SEED = 0
 
 def _emit(obj, out_path=None) -> None:
     text = formats.dumps(obj)
-    print(text)
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise formats.FormatError(f"cannot write {out_path}: {exc.strerror or exc}") from None
+    print(text)
 
 
 def _load_channel(path) -> channels.KrausChannel:
@@ -131,6 +134,10 @@ def cmd_sample(args) -> int:
 
 
 def cmd_mitigate(args) -> int:
+    try:
+        options = solver.SolverOptions(max_iterations=args.max_iters, residual_tol=args.tol)
+    except ValueError as exc:
+        raise formats.FormatError(f"--max-iters/--tol: {exc}") from None
     model = _load_model_or_extract(args)
     if args.z and args.counts:
         raise formats.FormatError("give either --z or --counts, not both")
@@ -138,7 +145,6 @@ def cmd_mitigate(args) -> int:
     if not source:
         raise formats.FormatError("need --z or --counts")
     z = formats.distribution_from_obj(formats.load_json_file(source), model.dim)
-    options = solver.SolverOptions(max_iterations=args.max_iters, residual_tol=args.tol)
     result = solver.mitigate(solver.MitigationProblem(model, z), options)
     print(
         f"residual {result.residual:.3e} after {result.iterations} iterations "

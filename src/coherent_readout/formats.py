@@ -19,7 +19,8 @@ COLUMN_ORDER = "lex-pairs-RI"
 
 
 class FormatError(ValueError):
-    """Malformed or schema-violating input; maps to CLI exit code 2."""
+    """Malformed or schema-violating input, or an unreadable or unwritable path;
+    maps to CLI exit code 2."""
 
 
 def complex_matrix_to_pairs(m) -> list:
@@ -244,9 +245,9 @@ def load_json_file(path) -> object:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh, parse_constant=_reject_constant)
-    except FileNotFoundError:
-        raise FormatError(f"cannot open {path}") from None
-    except (json.JSONDecodeError, FormatError) as exc:
+    except OSError as exc:
+        raise FormatError(f"cannot open {path}: {exc.strerror or exc}") from None
+    except (json.JSONDecodeError, UnicodeDecodeError, FormatError) as exc:
         raise FormatError(f"invalid JSON in {path}: {exc}") from None
 
 

@@ -118,9 +118,5 @@ def kernel_diag_defect(ch: KrausChannel) -> float:
 
 def offdiag_defect(p: Povm) -> float:
     """Largest off-diagonal magnitude across all POVM elements."""
-    worst = 0.0
-    mask = ~np.eye(p.dim, dtype=bool)
-    for e in p.elements:
-        if p.dim > 1:
-            worst = max(worst, float(np.max(np.abs(e[mask]))))
-    return worst
+    offdiag = np.array(p.elements)[:, ~np.eye(p.dim, dtype=bool)]
+    return float(np.max(np.abs(offdiag), initial=0.0))

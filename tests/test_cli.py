@@ -284,6 +284,62 @@ def test_missing_file_is_usage_error(capsys):
     assert code == 2
 
 
+def one_error_line(captured):
+    lines = captured.err.strip().splitlines()
+    return len(lines) == 1 and lines[0].startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "flag, kind", [("--channel", "directory"), ("--z", "directory"), ("--z", "not-utf8")]
+)
+def test_unreadable_input_is_usage_error(capsys, tmp_path, write_json, flag, kind):
+    inputs = {"--channel": write_json("ch.json", AMP_DAMP), "--z": write_json("z.json", {"z": [0.3, 0.7]})}
+    if kind == "directory":
+        inputs[flag] = str(tmp_path)
+    else:
+        (tmp_path / "bad.json").write_bytes(b'{"z": [0.3, 0.7]}\xff')
+        inputs[flag] = str(tmp_path / "bad.json")
+    code = main(["mitigate", *(arg for pair in inputs.items() for arg in pair)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert one_error_line(captured)
+
+
+@pytest.mark.parametrize(
+    "command, target",
+    [("model-extract", "directory"), ("model-extract", "missing-parent"), ("mitigate", "directory")],
+)
+def test_unwritable_out_path_is_usage_error(capsys, tmp_path, write_json, command, target):
+    out = tmp_path if target == "directory" else tmp_path / "absent" / "out.json"
+    argv = [command, "--channel", write_json("ch.json", AMP_DAMP), "--out", str(out)]
+    if command == "mitigate":
+        argv += ["--z", write_json("z.json", {"z": [0.3, 0.7]})]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    # mitigate reports its residual on stderr before writing the result.
+    assert [l for l in captured.err.splitlines() if l.startswith("error:")] == [
+        f"error: cannot write {out}: " + ("Is a directory" if target == "directory" else "No such file or directory")
+    ]
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--max-iters", "0"), ("--max-iters", "-1"), ("--tol", "0"), ("--tol", "-1"), ("--tol", "nan")],
+)
+def test_invalid_solver_flag_is_usage_error(capsys, write_json, flag, value):
+    ch = write_json("ch.json", AMP_DAMP)
+    z = write_json("z.json", {"z": [0.3, 0.7]})
+    code = main(["mitigate", "--channel", ch, "--z", z, flag, value])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert one_error_line(captured)
+
+
 def test_unphysical_state_is_domain_error(capsys, write_json):
     ch = write_json("ch.json", IDENTITY_KRAUS)
     st = write_json("state.json", {"n": 1, "matrix": [[1.2, 0], [0, 0], [0, 0], [-0.2, 0]]})

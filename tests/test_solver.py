@@ -10,6 +10,7 @@ from coherent_readout.channels import (
     identity,
     random_channel,
     rotation_y,
+    tensor,
 )
 from coherent_readout.povm import effective_povm
 from coherent_readout.readout import ReadoutModel, extract, forward
@@ -44,6 +45,21 @@ def consistent_problem(seed):
     truth = decompose(random_density(n, seed + 11).matrix)
     z = forward(model, truth)
     return MitigationProblem(model=model, z_observed=z), truth
+
+
+def damping_shot_problem(seed):
+    """Two-qubit amplitude damping (gamma in [0.5, 0.9]) with z from 200-500 shots of a
+    near-pure state, which no physical state explains exactly. Returns the problem and
+    the generating state's residual."""
+    rng = np.random.default_rng(seed)
+    g1, g2 = rng.uniform(0.5, 0.9, 2)
+    model = model_of(tensor(amplitude_damping(g1), amplitude_damping(g2)))
+    psi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    psi /= np.linalg.norm(psi)
+    p = forward(model, decompose(0.98 * np.outer(psi, psi.conj()) + 0.005 * np.eye(4)))
+    shots = int(rng.integers(200, 501))
+    z = rng.multinomial(shots, p / p.sum()) / shots
+    return MitigationProblem(model=model, z_observed=z), float(np.linalg.norm(z - p))
 
 
 # ---------------------------------------------------------------- assembly
@@ -199,13 +215,45 @@ def test_consistent_one_qubit_problems_do_not_stall(seed, n_kraus):
     assert res.residual <= 1e-9
 
 
-def test_residual_history_tracks_best_iterate():
-    problem, _ = consistent_problem(5002)
+@pytest.mark.parametrize(
+    "problem",
+    [consistent_problem(5002)[0], damping_shot_problem(3)[0], damping_shot_problem(7)[0]],
+    ids=["consistent-5002", "shots-3", "shots-7"],
+)
+def test_residual_history_tracks_best_iterate(problem):
     res = mitigate(problem)
     assert res.residual_history[0] >= res.residual
     assert min(res.residual_history) == res.residual
     diffs = np.diff(res.residual_history)
     assert diffs.max() <= 1e-12  # raw descent, small slack for roundoff
+
+
+@pytest.mark.parametrize("seed", [3, 7])
+def test_rejected_steps_count_as_iterations(seed):
+    # The history holds the start and each accepted residual; a step that would
+    # raise the residual is rejected, so the history is shorter than the
+    # iteration count, and the cap still bounds every projected step.
+    problem, _ = damping_shot_problem(seed)
+    res = mitigate(problem)
+    assert res.converged
+    assert len(res.residual_history) < res.iterations + 1
+    for k in (30, 50, 80):
+        capped = mitigate(problem, SolverOptions(max_iterations=k))
+        assert capped.iterations <= k
+        assert not capped.converged
+    assert len(capped.residual_history) < capped.iterations + 1
+
+
+@pytest.mark.parametrize("seed", [0, 4, 6, 13, 21, 28])
+def test_finite_shot_damping_problems_stop_before_the_cap(seed):
+    # No state explains these data exactly, so the solver must stop at a
+    # stationary point well before the iteration cap.
+    problem, generating_residual = damping_shot_problem(seed)
+    res = mitigate(problem)
+    assert res.converged
+    assert res.iterations < SolverOptions().max_iterations
+    assert res.residual <= generating_residual
+    DensityMatrix(assemble_matrix(res.x_hat, res.y_hat))
 
 
 def test_iteration_cap_reported_as_not_converged():
