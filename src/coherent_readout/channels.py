@@ -6,6 +6,10 @@ channel construction, Schroedinger- and Heisenberg-picture application, the
 standard single-qubit noise zoo, tensor/composition combinators, and the
 column-stacked superoperator matrix used as an independent cross-check of
 the readout model.
+
+A KrausChannel holds its operators as one read-only K x N x N complex array
+indexed [a, i, j], laid out and validated by its constructor; every function
+here works on that stack as a whole.
 """
 
 from __future__ import annotations
@@ -15,74 +19,75 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import ATOL_PHYSICAL, as_square_array, kron
+from .linalg import ATOL_PHYSICAL, as_square_array, as_square_stack
 
 _ID2 = np.eye(2, dtype=complex)
 _PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 _PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 _PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-PAULIS = (_ID2, _PAULI_X, _PAULI_Y, _PAULI_Z)
+PAULIS = np.array([_ID2, _PAULI_X, _PAULI_Y, _PAULI_Z])
+PAULIS.flags.writeable = False
 
 
-def _coerce_ops(ops, dim: int) -> tuple[np.ndarray, ...]:
-    coerced = []
-    for i, op in enumerate(ops):
-        a = as_square_array(op, name=f"Kraus operator {i}")
-        if not np.all(np.isfinite(a)):
-            raise ValueError(f"Kraus operator {i} contains non-finite entries")
-        if a.shape[0] != dim:
-            raise ValueError(
-                f"Kraus operator {i} has dimension {a.shape[0]}, expected {dim}"
-            )
-        coerced.append(a)
-    return tuple(coerced)
+def _gram(ops: np.ndarray) -> np.ndarray:
+    """sum_a E_a^dag E_a of a K x N x N stack."""
+    return (ops.conj().swapaxes(1, 2) @ ops).sum(axis=0)
 
 
-def cptp_defect(ops: Sequence[np.ndarray]) -> float:
-    """Max-entry norm of sum_a E_a^dag E_a - I."""
-    ops = list(ops)
-    if not ops:
-        raise ValueError("a channel needs at least one Kraus operator")
-    dim = as_square_array(ops[0]).shape[0]
-    total = np.zeros((dim, dim), dtype=complex)
-    for op in ops:
-        a = as_square_array(op)
-        if a.shape[0] != dim:
-            raise ValueError("Kraus operators have mismatched dimensions")
-        total += a.conj().T @ a
-    return float(np.max(np.abs(total - np.eye(dim))))
+def _kron_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """kron(a_i, b_j) for every pair, a-major: a K_a K_b x NM x NM stack."""
+    n = a.shape[1] * b.shape[1]
+    return np.einsum("aij,bkl->abikjl", a, b).reshape(-1, n, n)
+
+
+def cptp_defect(ops: np.ndarray | Sequence[np.ndarray]) -> float:
+    """Max-entry norm of sum_a E_a^dag E_a - I.
+
+    ops is a K x N x N stack or a sequence of N x N arrays.
+    """
+    ops = as_square_stack(ops, name="Kraus operators")
+    return float(np.max(np.abs(_gram(ops) - np.eye(ops.shape[1]))))
 
 
 @dataclass(frozen=True)
 class CptpReport:
     defect: float
-    tol: float
     passed: bool
 
 
-def validate_cptp(ops: Sequence[np.ndarray], tol: float = ATOL_PHYSICAL) -> CptpReport:
-    """Check the completeness condition sum_a E_a^dag E_a = I at tolerance tol."""
+def validate_cptp(ops: np.ndarray | Sequence[np.ndarray]) -> CptpReport:
+    """Check the completeness condition sum_a E_a^dag E_a = I at ATOL_PHYSICAL."""
     defect = cptp_defect(ops)
-    return CptpReport(defect=defect, tol=tol, passed=defect <= tol)
+    return CptpReport(defect=defect, passed=defect <= ATOL_PHYSICAL)
 
 
 @dataclass(frozen=True)
 class KrausChannel:
-    """A CPTP channel given by its Kraus operators; validated on construction."""
+    """A CPTP channel given by its Kraus operators; validated on construction.
+
+    kraus_ops may be given as any sequence of N x N arrays; it is stored as a
+    read-only K x N x N complex copy, so later changes to the caller's arrays
+    do not reach the channel.
+    """
 
     dim: int
-    kraus_ops: tuple[np.ndarray, ...]
+    kraus_ops: np.ndarray
 
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError(f"channel dimension must be >= 1, got {self.dim}")
-        ops = _coerce_ops(self.kraus_ops, self.dim)
+        ops = as_square_stack(self.kraus_ops, name="Kraus operators").copy()
+        ops.flags.writeable = False
         object.__setattr__(self, "kraus_ops", ops)
+        if not np.all(np.isfinite(ops)):
+            raise ValueError("Kraus operators contain non-finite entries")
+        if ops.shape[1] != self.dim:
+            raise ValueError(f"Kraus operators have dimension {ops.shape[1]}, expected {self.dim}")
         report = validate_cptp(ops)
         if not report.passed:
             raise ValueError(
                 f"Kraus operators violate trace preservation: "
-                f"defect {report.defect:.3e} exceeds {report.tol:.1e}"
+                f"defect {report.defect:.3e} exceeds {ATOL_PHYSICAL:.1e}"
             )
 
 
@@ -91,10 +96,8 @@ def apply(ch: KrausChannel, rho) -> np.ndarray:
     a = as_square_array(rho, name="rho")
     if a.shape[0] != ch.dim:
         raise ValueError(f"state dimension {a.shape[0]} does not match channel dim {ch.dim}")
-    out = np.zeros_like(a)
-    for op in ch.kraus_ops:
-        out += op @ a @ op.conj().T
-    return out
+    ops = ch.kraus_ops
+    return (ops @ a @ ops.conj().swapaxes(1, 2)).sum(axis=0)
 
 
 def adjoint_apply(ch: KrausChannel, m) -> np.ndarray:
@@ -102,10 +105,8 @@ def adjoint_apply(ch: KrausChannel, m) -> np.ndarray:
     a = as_square_array(m)
     if a.shape[0] != ch.dim:
         raise ValueError(f"operator dimension {a.shape[0]} does not match channel dim {ch.dim}")
-    out = np.zeros_like(a)
-    for op in ch.kraus_ops:
-        out += op.conj().T @ a @ op
-    return out
+    ops = ch.kraus_ops
+    return (ops.conj().swapaxes(1, 2) @ a @ ops).sum(axis=0)
 
 
 def identity(dim: int = 2) -> KrausChannel:
@@ -152,7 +153,7 @@ def rotation_y(theta: float) -> KrausChannel:
     return KrausChannel(2, (u,))
 
 
-def pauli_channel(probs: Sequence[float], n_qubits: int | None = None) -> KrausChannel:
+def pauli_channel(probs: Sequence[float]) -> KrausChannel:
     """Random-Pauli noise: apply the i-th n-qubit Pauli string with probability probs[i].
 
     Strings are ordered I, X, Y, Z per qubit, lexicographic across qubits with
@@ -165,32 +166,29 @@ def pauli_channel(probs: Sequence[float], n_qubits: int | None = None) -> KrausC
     n = int(round(np.log(p.size) / np.log(4)))
     if 4**n != p.size:
         raise ValueError(f"probs must have length 4**n, got {p.size}")
-    if n_qubits is not None and n_qubits != n:
-        raise ValueError(f"probs length {p.size} does not match n_qubits={n_qubits}")
     if np.any(p < 0.0):
         raise ValueError("probabilities must be non-negative")
     if abs(p.sum() - 1.0) > 1e-12:
         raise ValueError(f"probabilities must sum to 1, got {p.sum()!r}")
 
-    strings = [np.array([[1.0]], dtype=complex)]
+    strings = np.ones((1, 1, 1), dtype=complex)
     for _ in range(n):
-        strings = [kron(s, sigma) for s in strings for sigma in PAULIS]
-    ops = tuple(np.sqrt(pi) * s for pi, s in zip(p, strings) if pi > 0.0)
-    return KrausChannel(2**n, ops)
+        strings = _kron_pairs(strings, PAULIS)
+    keep = p > 0.0
+    return KrausChannel(2**n, np.sqrt(p[keep])[:, None, None] * strings[keep])
 
 
 def tensor(a: KrausChannel, b: KrausChannel) -> KrausChannel:
     """Independent noise on two subsystems, a on the left (most significant)."""
-    ops = tuple(kron(ea, eb) for ea in a.kraus_ops for eb in b.kraus_ops)
-    return KrausChannel(a.dim * b.dim, ops)
+    return KrausChannel(a.dim * b.dim, _kron_pairs(a.kraus_ops, b.kraus_ops))
 
 
 def compose(outer: KrausChannel, inner: KrausChannel) -> KrausChannel:
     """Sequential application: (outer o inner)(rho) = outer(inner(rho))."""
     if outer.dim != inner.dim:
         raise ValueError(f"dimension mismatch: {outer.dim} vs {inner.dim}")
-    ops = tuple(eo @ ei for eo in outer.kraus_ops for ei in inner.kraus_ops)
-    return KrausChannel(outer.dim, ops)
+    ops = outer.kraus_ops[:, None] @ inner.kraus_ops[None, :]
+    return KrausChannel(outer.dim, ops.reshape(-1, outer.dim, outer.dim))
 
 
 def superoperator(ch: KrausChannel) -> np.ndarray:
@@ -199,11 +197,9 @@ def superoperator(ch: KrausChannel) -> np.ndarray:
     Satisfies vec(E(rho)) = H @ vec(rho) for the column-stacked vec, giving a
     full linear-map representation independent of any measurement model.
     """
+    ops = ch.kraus_ops
     n2 = ch.dim * ch.dim
-    h = np.zeros((n2, n2), dtype=complex)
-    for op in ch.kraus_ops:
-        h += kron(op.conj(), op)
-    return h
+    return np.einsum("aij,akl->ikjl", ops.conj(), ops).reshape(n2, n2)
 
 
 def random_channel(dim: int, n_kraus: int, seed) -> KrausChannel:
@@ -216,11 +212,8 @@ def random_channel(dim: int, n_kraus: int, seed) -> KrausChannel:
         raise ValueError("need at least one Kraus operator")
     rng = np.random.default_rng(seed)
     raw = rng.standard_normal((n_kraus, dim, dim)) + 1j * rng.standard_normal((n_kraus, dim, dim))
-    s = np.zeros((dim, dim), dtype=complex)
-    for g in raw:
-        s += g.conj().T @ g
-    w, v = np.linalg.eigh(s)
+    w, v = np.linalg.eigh(_gram(raw))
     if w[0] <= 0.0:
         raise ValueError("degenerate sample: normalizer is singular")
     s_inv_sqrt = (v / np.sqrt(w)) @ v.conj().T
-    return KrausChannel(dim, tuple(g @ s_inv_sqrt for g in raw))
+    return KrausChannel(dim, raw @ s_inv_sqrt)

@@ -53,7 +53,7 @@ def cmd_channel_validate(args) -> int:
         _emit(result, args.out)
         return 1
 
-    ch = channels.KrausChannel(dim, tuple(ops))
+    ch = channels.KrausChannel(dim, ops)
     p = povm.effective_povm(ch)
     check = povm.validate_povm(p.elements)
     herm, pos, comp = check.hermiticity_defect, check.positivity_defect, check.completeness_defect
@@ -117,6 +117,8 @@ def cmd_oracle(args) -> int:
 def cmd_sample(args) -> int:
     if args.shots < 1:
         raise formats.FormatError("--shots must be >= 1")
+    if args.seed < 0:
+        raise formats.FormatError("--seed must be >= 0")
     ch = _load_channel(args.channel)
     rho = formats.state_from_obj(formats.load_json_file(args.state))
     z = readout.oracle_probabilities(ch, rho)

@@ -16,6 +16,10 @@ from .readout import ReadoutModel
 from .states import DensityMatrix, assemble_matrix
 
 COLUMN_ORDER = "lex-pairs-RI"
+# The package targets N <= 64; a larger dim or n in a file is rejected before
+# anything of that size (or 2**n itself) is computed.
+MAX_QUBITS = 6
+MAX_DIM = 2**MAX_QUBITS
 
 
 class FormatError(ValueError):
@@ -37,8 +41,8 @@ def complex_matrix_from_pairs(entries, dim: int, name: str = "matrix") -> np.nda
             raise FormatError(f"{name} entry {i} is not a [re, im] pair")
         try:
             flat[i] = complex(float(pair[0]), float(pair[1]))
-        except (TypeError, ValueError):
-            raise FormatError(f"{name} entry {i} has non-numeric parts") from None
+        except (TypeError, ValueError, OverflowError):
+            raise FormatError(f"{name} entry {i} has non-numeric or out-of-range parts") from None
     if not np.all(np.isfinite(flat)):
         raise FormatError(f"{name} has non-finite entries")
     return flat.reshape((dim, dim), order="C")
@@ -53,48 +57,53 @@ def _require(obj: dict, key: str, context: str):
 def _as_float(value, context: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise FormatError(f"{context} must be a number")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:
+        raise FormatError(f"{context} is out of range") from None
     if not np.isfinite(value):
         raise FormatError(f"{context} must be finite")
     return value
 
 
-def _is_positive_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+def _is_int_in_range(value, limit: int) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and 1 <= value <= limit
 
 
 def _read_dim(obj: dict, context: str) -> int:
     n = obj.get("n")
-    if "n" in obj and not _is_positive_int(n):
-        raise FormatError(f"{context}: qubit count n must be a positive integer")
+    if "n" in obj and not _is_int_in_range(n, MAX_QUBITS):
+        raise FormatError(f"{context}: qubit count n must be an integer from 1 to {MAX_QUBITS}")
     if "dim" in obj:
         dim = obj["dim"]
     elif "n" in obj:
         dim = 2**n
     else:
         raise FormatError(f"{context} needs either 'dim' or 'n'")
-    if not _is_positive_int(dim):
-        raise FormatError(f"{context}: dim must be a positive integer")
+    if not _is_int_in_range(dim, MAX_DIM):
+        raise FormatError(f"{context}: dim must be an integer from 1 to {MAX_DIM}")
     if "n" in obj and 2**n != dim:
         raise FormatError(f"{context}: inconsistent 'dim' and 'n'")
     return dim
 
 
-def channel_ops_from_obj(obj) -> tuple[int, list]:
-    """Raw (dim, kraus operator list) without CPTP validation."""
+def channel_ops_from_obj(obj) -> tuple[int, np.ndarray]:
+    """Raw (dim, K x dim x dim Kraus operator stack) without CPTP validation."""
     if not isinstance(obj, dict):
         raise FormatError("channel spec must be a JSON object")
     if "builtin" in obj:
         ch = channel_from_obj(obj)
-        return ch.dim, list(ch.kraus_ops)
+        return ch.dim, ch.kraus_ops
     dim = _read_dim(obj, "channel spec")
     kraus = _require(obj, "kraus", "channel spec")
     if not isinstance(kraus, list) or not kraus:
         raise FormatError("'kraus' must be a non-empty list of operators")
-    ops = [
-        complex_matrix_from_pairs(entries, dim, name=f"kraus operator {i}")
-        for i, entries in enumerate(kraus)
-    ]
+    ops = np.stack(
+        [
+            complex_matrix_from_pairs(entries, dim, name=f"kraus operator {i}")
+            for i, entries in enumerate(kraus)
+        ]
+    )
     return dim, ops
 
 
@@ -147,7 +156,7 @@ def channel_from_obj(obj) -> _channels.KrausChannel:
             raise FormatError("'params' must be an object")
         return _builtin_channel(name, params)
     dim, ops = channel_ops_from_obj(obj)
-    return _channels.KrausChannel(dim, tuple(ops))
+    return _channels.KrausChannel(dim, ops)
 
 
 def channel_to_obj(ch: _channels.KrausChannel) -> dict:
@@ -165,6 +174,12 @@ def state_from_obj(obj) -> DensityMatrix:
         y = obj["y"]
         if not isinstance(x, list) or not isinstance(y, list):
             raise FormatError("'x' and 'y' must be lists of numbers")
+        n = len(x)
+        if n == 0 or len(y) != n * (n - 1):
+            raise FormatError(
+                f"'x' must be non-empty and 'y' must have length N(N-1) = {n * (n - 1)}, "
+                f"got {len(y)}"
+            )
         return DensityMatrix(
             assemble_matrix(
                 [_as_float(v, "x entry") for v in x],
@@ -196,16 +211,19 @@ def model_from_obj(obj) -> ReadoutModel:
     try:
         a_arr = np.array(a, dtype=float)
         c_arr = np.array(c, dtype=float)
-    except (TypeError, ValueError):
-        raise FormatError("model matrices must be nested lists of numbers") from None
+    except (TypeError, ValueError, OverflowError):
+        raise FormatError("model matrices must be nested lists of finite numbers") from None
     if not (np.all(np.isfinite(a_arr)) and np.all(np.isfinite(c_arr))):
         raise FormatError("model matrices have non-finite entries")
-    if a_arr.ndim != 2:
-        raise FormatError("'A' must be a 2-d nested list")
-    if ("dim" in obj or "n" in obj) and _read_dim(obj, "model spec") != a_arr.shape[0]:
+    if a_arr.ndim != 2 or a_arr.shape[0] != a_arr.shape[1]:
+        raise FormatError(f"'A' must be a square nested list, got shape {a_arr.shape}")
+    n = a_arr.shape[0]
+    if ("dim" in obj or "n" in obj) and _read_dim(obj, "model spec") != n:
         raise FormatError("model spec dimension does not match 'A'")
     if c_arr.ndim == 1 and c_arr.size == 0:
-        c_arr = c_arr.reshape(a_arr.shape[0], 0)
+        c_arr = c_arr.reshape(n, 0)
+    if c_arr.shape != (n, n * (n - 1)):
+        raise FormatError(f"'C' must have shape ({n}, {n * (n - 1)}), got {c_arr.shape}")
     return ReadoutModel(assignment=a_arr, coherence=c_arr)
 
 

@@ -22,6 +22,20 @@ def as_square_array(m, name: str = "matrix") -> np.ndarray:
     return a
 
 
+def as_square_stack(ms, name: str = "matrices") -> np.ndarray:
+    """ms as one K x N x N complex array with K, N >= 1 (no copy if it already is one).
+
+    Rejects empty, ragged or non-square input.
+    """
+    try:
+        a = np.asarray(ms, dtype=complex)
+    except ValueError as exc:
+        raise ValueError(f"{name} do not form one array: {exc}") from None
+    if a.ndim != 3 or 0 in a.shape or a.shape[1] != a.shape[2]:
+        raise ValueError(f"{name} must be a non-empty stack of square matrices, got shape {a.shape}")
+    return a
+
+
 def hs_inner(b, d) -> complex:
     """Hilbert-Schmidt inner product Tr(b^dag d)."""
     b = np.asarray(b, dtype=complex)

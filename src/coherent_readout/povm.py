@@ -8,7 +8,9 @@ purely classical assignment-matrix model cannot represent.
 
 effective_povm is the one builder of the elements and validate_povm the one
 validator of the POVM axioms (hermiticity, positivity, completeness): Povm
-raises from its report and the channel-validate command prints it.
+raises from its report and the channel-validate command prints it. A Povm
+holds its elements as one read-only N x N x N complex array indexed
+[k, i, j], laid out by its constructor.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import KrausChannel, apply
-from .linalg import ATOL_PHYSICAL, as_square_array
+from .linalg import ATOL_PHYSICAL, as_square_stack
 
 
 @dataclass(frozen=True)
@@ -37,9 +39,7 @@ def validate_povm(elements) -> PovmReport:
     Hermitian part, clipped at zero; completeness is measured against I.
     All three pass at ATOL_PHYSICAL.
     """
-    f = np.asarray(elements, dtype=complex)
-    if f.ndim != 3 or f.shape[1] != f.shape[2]:
-        raise ValueError(f"POVM elements must be a stack of square matrices, got shape {f.shape}")
+    f = as_square_stack(elements, name="POVM elements")
     if not np.all(np.isfinite(f)):
         raise ValueError("POVM elements contain non-finite entries")
     f_dag = f.conj().swapaxes(1, 2)
@@ -56,24 +56,27 @@ def validate_povm(elements) -> PovmReport:
 
 @dataclass(frozen=True)
 class Povm:
-    """Validated POVM: Hermitian, positive semidefinite elements summing to I."""
+    """Validated POVM: Hermitian, positive semidefinite elements summing to I.
+
+    elements may be given as any sequence of N x N arrays; it is stored as a
+    read-only N x N x N complex copy, so later changes to the caller's arrays
+    do not reach the POVM.
+    """
 
     dim: int
-    elements: tuple[np.ndarray, ...]
+    elements: np.ndarray
 
     def __post_init__(self):
-        elems = tuple(
-            as_square_array(e, name=f"POVM element {k}") for k, e in enumerate(self.elements)
-        )
+        elems = as_square_stack(self.elements, name="POVM elements").copy()
+        elems.flags.writeable = False
         object.__setattr__(self, "elements", elems)
-        if len(elems) != self.dim:
+        if elems.shape[0] != self.dim:
             raise ValueError(
                 f"expected {self.dim} POVM elements for a {self.dim}-outcome readout, "
-                f"got {len(elems)}"
+                f"got {elems.shape[0]}"
             )
-        for k, e in enumerate(elems):
-            if e.shape[0] != self.dim:
-                raise ValueError(f"POVM element {k} has wrong dimension {e.shape[0]}")
+        if elems.shape[1] != self.dim:
+            raise ValueError(f"POVM elements have dimension {elems.shape[1]}, expected {self.dim}")
         report = validate_povm(elems)
         for axiom, defect in (
             ("hermiticity", report.hermiticity_defect),
@@ -91,9 +94,8 @@ def effective_povm(ch: KrausChannel) -> Povm:
 
     Entrywise F_k[i, j] = sum_a conj(E_a[k, i]) E_a[k, j], for all k at once.
     """
-    ops = np.array(ch.kraus_ops)
-    elements = np.einsum("aki,akj->kij", ops.conj(), ops)
-    return Povm(dim=ch.dim, elements=tuple(elements))
+    ops = ch.kraus_ops
+    return Povm(dim=ch.dim, elements=np.einsum("aki,akj->kij", ops.conj(), ops))
 
 
 def kernel(ch: KrausChannel, s: int, t: int) -> np.ndarray:
@@ -118,5 +120,5 @@ def kernel_diag_defect(ch: KrausChannel) -> float:
 
 def offdiag_defect(p: Povm) -> float:
     """Largest off-diagonal magnitude across all POVM elements."""
-    offdiag = np.array(p.elements)[:, ~np.eye(p.dim, dtype=bool)]
+    offdiag = p.elements[:, ~np.eye(p.dim, dtype=bool)]
     return float(np.max(np.abs(offdiag), initial=0.0))

@@ -66,12 +66,11 @@ class ReadoutModel:
 
 def extract(p: Povm) -> ReadoutModel:
     """Read the model coefficients off the POVM elements."""
-    elements = np.array(p.elements, dtype=complex)
-    diag = np.diagonal(elements, axis1=1, axis2=2)
+    diag = np.diagonal(p.elements, axis1=1, axis2=2)
     bad = np.flatnonzero(np.max(np.abs(diag.imag), axis=1) > ATOL_STRUCTURAL)
     if bad.size:
         raise ValueError(f"POVM element {bad[0]} has non-real diagonal")
-    return ReadoutModel(assignment=diag.real.copy(), coherence=2.0 * pack_coherences(elements))
+    return ReadoutModel(assignment=diag.real.copy(), coherence=2.0 * pack_coherences(p.elements))
 
 
 def forward(model: ReadoutModel, decomp: StateDecomposition) -> np.ndarray:

@@ -39,8 +39,8 @@ class SolverOptions:
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if not self.residual_tol > 0.0:
-            raise ValueError("residual_tol must be positive")
+        if not 0.0 < self.residual_tol < np.inf:
+            raise ValueError("residual_tol must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -146,6 +146,8 @@ def mitigate(problem: MitigationProblem, options: SolverOptions | None = None) -
     v_prev = v
     t = 1.0
     residual = float(np.linalg.norm(z - b @ v))
+    if not np.isfinite(residual):
+        raise ValueError("observed distribution is out of range: its residual overflows")
     history = [residual]
     converged = residual <= opts.residual_tol
     iterations = 0

@@ -45,6 +45,27 @@ def test_channel_constructor_rejects_violations():
         channels.KrausChannel(0, ())
 
 
+@pytest.mark.parametrize(
+    "ops",
+    [[], [np.eye(2), np.eye(3)], [np.eye(2)[0]], np.eye(2)],
+    ids=["empty", "ragged", "not-square", "bare-matrix"],
+)
+def test_channel_constructor_rejects_malformed_stack(ops):
+    with pytest.raises(ValueError):
+        channels.KrausChannel(2, ops)
+
+
+def test_channel_holds_a_read_only_copy():
+    e0 = np.array([[1.0, 0.0], [0.0, np.sqrt(0.7)]], dtype=complex)
+    e1 = np.array([[0.0, np.sqrt(0.3)], [0.0, 0.0]], dtype=complex)
+    ch = channels.KrausChannel(2, [e0, e1])
+    assert ch.kraus_ops.shape == (2, 2, 2) and ch.kraus_ops.dtype == complex
+    e0[0, 0] = 5.0
+    assert np.array_equal(ch.kraus_ops, channels.amplitude_damping(0.3).kraus_ops)
+    with pytest.raises(ValueError, match="read-only"):
+        ch.kraus_ops[0][0, 0] = 2.0
+
+
 def test_apply_identity():
     rho = random_density(1, 5).matrix
     assert np.array_equal(channels.apply(channels.identity(2), rho), rho)
@@ -170,8 +191,6 @@ def test_pauli_rejects_bad_input():
         channels.pauli_channel([0.7, 0.2, 0.0, 0.0])  # sum != 1
     with pytest.raises(ValueError):
         channels.pauli_channel([1.2, -0.2, 0.0, 0.0])  # negative
-    with pytest.raises(ValueError):
-        channels.pauli_channel([1.0, 0.0, 0.0, 0.0], n_qubits=2)
 
 
 @pytest.mark.parametrize("seed", range(4))

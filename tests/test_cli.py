@@ -21,6 +21,7 @@ PLUS_STATE = {"n": 1, "matrix": [[0.5, 0], [0.5, 0], [0.5, 0], [0.5, 0]]}
 GROUND_STATE = {"n": 1, "matrix": [[1, 0], [0, 0], [0, 0], [0, 0]]}
 EXCITED_STATE = {"n": 1, "matrix": [[0, 0], [0, 0], [0, 0], [1, 0]]}
 AMP_DAMP = {"builtin": "amplitude_damping", "params": {"gamma": 0.3}}
+HUGE_INT = "1" + "0" * 400
 ROTATION = {"builtin": "rotation_y", "params": {"theta": 0.3}}
 
 
@@ -328,12 +329,47 @@ def test_unwritable_out_path_is_usage_error(capsys, tmp_path, write_json, comman
 
 @pytest.mark.parametrize(
     "flag, value",
-    [("--max-iters", "0"), ("--max-iters", "-1"), ("--tol", "0"), ("--tol", "-1"), ("--tol", "nan")],
+    [
+        ("--max-iters", "0"),
+        ("--max-iters", "-1"),
+        ("--tol", "0"),
+        ("--tol", "-1"),
+        ("--tol", "nan"),
+        ("--tol", "inf"),
+    ],
 )
 def test_invalid_solver_flag_is_usage_error(capsys, write_json, flag, value):
     ch = write_json("ch.json", AMP_DAMP)
     z = write_json("z.json", {"z": [0.3, 0.7]})
     code = main(["mitigate", "--channel", ch, "--z", z, flag, value])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert one_error_line(captured)
+
+
+@pytest.mark.parametrize(
+    "command, spec",
+    [
+        ("state", {"x": [1, 0], "y": [0]}),
+        ("state", {"x": [], "y": []}),
+        ("model", {"A": [[1.0, 0.0], [0.0, 1.0]], "C": [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]}),
+        ("model", {"A": [[1.0, 0.0]], "C": [[0.0, 0.0]]}),
+        ("seed", None),
+    ],
+    ids=["short-y", "empty-x", "wrong-C-shape", "non-square-A", "negative-seed"],
+)
+def test_schema_violation_is_usage_error(capsys, write_json, command, spec):
+    if command == "state":
+        argv = ["forward", "--channel", write_json("ch.json", AMP_DAMP),
+                "--state", write_json("state.json", spec)]
+    elif command == "model":
+        argv = ["forward", "--model", write_json("model.json", spec),
+                "--state", write_json("state.json", GROUND_STATE)]
+    else:
+        argv = ["sample", "--channel", write_json("ch.json", AMP_DAMP),
+                "--state", write_json("state.json", GROUND_STATE), "--shots", "10", "--seed", "-1"]
+    code = main(argv)
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
@@ -365,6 +401,13 @@ def test_nan_model_is_usage_error_on_one_line(capsys, write_json):
         ("--z", '{"z": [1e999, 0.5]}'),
         ("--counts", '{"shots": 2, "counts": [1, 1e999]}'),
         ("--channel", '{"dim": 2, "kraus": [[[1e999, 0], [0, 0], [0, 0], [1, 0]]]}'),
+        # Integer literals too large for a float.
+        pytest.param("--model", '{"A": [[%s, 0], [0, 1]], "C": [[0, 0], [0, 0]]}' % HUGE_INT, id="model-huge-int"),
+        pytest.param("--counts", '{"shots": 2, "counts": [1, %s]}' % HUGE_INT, id="counts-huge-int"),
+        pytest.param("--channel", '{"dim": 2, "kraus": [[[%s, 0], [0, 0], [0, 0], [1, 0]]]}' % HUGE_INT,
+                     id="kraus-huge-int"),
+        pytest.param("--channel", '{"builtin": "amplitude_damping", "params": {"gamma": %s}}' % HUGE_INT,
+                     id="gamma-huge-int"),
     ],
 )
 def test_overflowing_number_is_usage_error(capsys, tmp_path, write_json, flag, text):
@@ -388,6 +431,8 @@ def test_overflowing_number_is_usage_error(capsys, tmp_path, write_json, flag, t
         {"dim": 2, "n": "x", "kraus": IDENTITY_KRAUS["kraus"]},
         {"builtin": "identity", "params": {"dim": 2, "n": "q"}},
         {"dim": True, "kraus": [[[1, 0]]]},
+        pytest.param({"builtin": "identity", "params": {"dim": 65}}, id="dim-above-64"),
+        pytest.param({"builtin": "identity", "params": {"n": 7}}, id="n-above-6"),
     ],
 )
 def test_non_integer_dimension_is_usage_error(capsys, write_json, spec):

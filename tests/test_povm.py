@@ -47,6 +47,27 @@ def test_povm_rejects_wrong_element_count():
         povm.Povm(2, (np.eye(2),))
 
 
+@pytest.mark.parametrize(
+    "elements",
+    [[np.eye(2), np.zeros((3, 3))], [np.eye(3), np.zeros((3, 3))], []],
+    ids=["ragged", "wrong-dimension", "empty"],
+)
+def test_povm_rejects_malformed_stack(elements):
+    with pytest.raises(ValueError):
+        povm.Povm(2, elements)
+
+
+def test_povm_holds_a_read_only_copy():
+    e0 = np.diag([1.0, 0.3]).astype(complex)
+    expected = np.array([e0, np.eye(2) - e0])
+    p = povm.Povm(2, [e0, np.eye(2) - e0])
+    assert p.elements.shape == (2, 2, 2) and p.elements.dtype == complex
+    e0[1, 1] = 0.5
+    assert np.array_equal(p.elements, expected)
+    with pytest.raises(ValueError, match="read-only"):
+        povm.effective_povm(amplitude_damping(0.3)).elements[0][0, 0] = 2.0
+
+
 def test_povm_rejects_broken_completeness():
     with pytest.raises(ValueError, match="completeness"):
         povm.Povm(2, (np.eye(2), np.eye(2)))

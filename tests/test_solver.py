@@ -163,6 +163,7 @@ def test_density_projection_rejects_negative_definite_input():
         ({"max_iterations": -1}, "max_iterations"),
         ({"residual_tol": float("nan")}, "residual_tol"),
         ({"residual_tol": 0.0}, "residual_tol"),
+        ({"residual_tol": float("inf")}, "residual_tol"),
     ],
 )
 def test_options_validation(kwargs, match):
@@ -173,6 +174,13 @@ def test_options_validation(kwargs, match):
 def test_problem_rejects_wrong_shape():
     with pytest.raises(ValueError, match="shape"):
         MitigationProblem(model=model_of(identity(2)), z_observed=np.array([1.0, 0.0, 0.0]))
+
+
+def test_overflowing_distribution_is_rejected():
+    # Finite, but the residual of the maximally mixed start already overflows.
+    problem = MitigationProblem(model=model_of(identity(2)), z_observed=np.array([1e308, 0.5]))
+    with pytest.raises(ValueError, match="out of range"):
+        mitigate(problem)
 
 
 def test_problem_rejects_non_finite():
