@@ -55,7 +55,7 @@ def cmd_channel_validate(args) -> int:
 
     ch = channels.KrausChannel(dim, ops)
     p = povm.effective_povm(ch)
-    check = povm.validate_povm(p.elements)
+    check = p.report
     herm, pos, comp = check.hermiticity_defect, check.positivity_defect, check.completeness_defect
     kd = povm.kernel_diag_defect(ch)
     od = povm.offdiag_defect(p)
@@ -253,7 +253,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        # Overflow is judged by the validators; numpy's warnings would only add stderr lines.
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except formats.FormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -7,7 +7,9 @@ an emitted file reproduces the in-memory values bit-exactly.
 
 from __future__ import annotations
 
+import functools
 import json
+import math
 
 import numpy as np
 
@@ -20,6 +22,9 @@ COLUMN_ORDER = "lex-pairs-RI"
 # anything of that size (or 2**n itself) is computed.
 MAX_QUBITS = 6
 MAX_DIM = 2**MAX_QUBITS
+# A channel on dim <= MAX_DIM never needs more Kraus operators (Choi rank);
+# compose and tensor specs are checked against it before any stack is built.
+MAX_KRAUS = MAX_DIM**2
 
 
 class FormatError(ValueError):
@@ -120,27 +125,26 @@ def _builtin_channel(name: str, params: dict) -> _channels.KrausChannel:
         return _channels.rotation_y(_as_float(_require(params, "theta", "rotation_y params"), "theta"))
     if name == "pauli":
         probs = _require(params, "probs", "pauli params")
-        if not isinstance(probs, list):
-            raise FormatError("pauli 'probs' must be a list")
+        if not isinstance(probs, list) or len(probs) > MAX_KRAUS:
+            raise FormatError(f"pauli 'probs' must be a list of at most {MAX_KRAUS} numbers")
         return _channels.pauli_channel([_as_float(p, "pauli probability") for p in probs])
-    if name == "tensor":
-        factors = _require(params, "factors", "tensor params")
-        if not isinstance(factors, list) or len(factors) < 2:
-            raise FormatError("tensor 'factors' must list at least two channel specs")
-        parts = [channel_from_obj(f) for f in factors]
-        out = parts[0]
-        for part in parts[1:]:
-            out = _channels.tensor(out, part)
-        return out
-    if name == "compose":
-        stages = _require(params, "channels", "compose params")
-        if not isinstance(stages, list) or len(stages) < 2:
-            raise FormatError("compose 'channels' must list at least two channel specs")
-        parts = [channel_from_obj(s) for s in stages]
-        out = parts[-1]
-        for outer in reversed(parts[:-1]):
-            out = _channels.compose(outer, out)
-        return out
+    if name in ("tensor", "compose"):
+        key = "factors" if name == "tensor" else "channels"
+        specs = _require(params, key, f"{name} params")
+        if not isinstance(specs, list) or len(specs) < 2:
+            raise FormatError(f"{name} {key!r} must list at least two channel specs")
+        parts = [channel_from_obj(s) for s in specs]
+        n_kraus = math.prod(p.kraus_ops.shape[0] for p in parts)
+        if n_kraus > MAX_KRAUS:
+            raise FormatError(f"{name} needs {n_kraus} Kraus operators, more than {MAX_KRAUS}")
+        if name == "compose":
+            out = parts[-1]
+            for outer in reversed(parts[:-1]):
+                out = _channels.compose(outer, out)
+            return out
+        if math.prod(p.dim for p in parts) > MAX_DIM:
+            raise FormatError(f"tensor product dimension exceeds {MAX_DIM}")
+        return functools.reduce(_channels.tensor, parts)
     raise FormatError(f"unknown builtin channel {name!r}")
 
 
@@ -270,4 +274,6 @@ def load_json_file(path) -> object:
 
 
 def dumps(obj) -> str:
-    return json.dumps(obj, indent=2)
+    """Strict JSON: a NaN or infinite value raises ValueError rather than being
+    written as a token no JSON parser accepts."""
+    return json.dumps(obj, indent=2, allow_nan=False)

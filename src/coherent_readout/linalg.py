@@ -36,30 +36,19 @@ def as_square_stack(ms, name: str = "matrices") -> np.ndarray:
     return a
 
 
-def hs_inner(b, d) -> complex:
-    """Hilbert-Schmidt inner product Tr(b^dag d)."""
-    b = np.asarray(b, dtype=complex)
-    d = np.asarray(d, dtype=complex)
-    if b.shape != d.shape:
-        raise ValueError(f"shape mismatch: {b.shape} vs {d.shape}")
-    return complex(np.vdot(b, d))
+def hermiticity_and_min_eigenvalue(m) -> tuple[float, float]:
+    """Worst entry of |m - m^dag| and smallest eigenvalue of the Hermitian part.
 
-
-def is_hermitian(m, tol: float = ATOL_PHYSICAL) -> bool:
-    a = as_square_array(m)
-    if a.size == 0:
-        return True
-    return bool(np.max(np.abs(a - a.conj().T)) <= tol)
-
-
-def hermitian_part(m) -> np.ndarray:
-    a = as_square_array(m)
-    return (a + a.conj().T) / 2.0
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product, subsystem a on the left (most significant)."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+    m is one N x N matrix or a K x N x N stack; both numbers are taken over
+    the whole stack. The Hermitian part is formed as m/2 + m^dag/2, which
+    stays finite for every finite m, so the eigenvalue measures entries up
+    to the edge of the float range instead of turning into NaN.
+    """
+    a = np.asarray(m, dtype=complex)
+    a = as_square_stack(a[np.newaxis] if a.ndim == 2 else a)
+    a_dag = a.conj().swapaxes(1, 2)
+    hermiticity = float(np.max(np.abs(a - a_dag)))
+    return hermiticity, float(np.min(np.linalg.eigvalsh(a / 2.0 + a_dag / 2.0)))
 
 
 def vec(m) -> np.ndarray:
@@ -73,8 +62,3 @@ def unvec(v, dim: int) -> np.ndarray:
     if a.ndim != 1 or a.size != dim * dim:
         raise ValueError(f"expected a flat vector of length {dim * dim}, got shape {a.shape}")
     return a.reshape((dim, dim), order="F")
-
-
-def min_eigenvalue_hermitian(m) -> float:
-    """Smallest eigenvalue of the Hermitian part of m."""
-    return float(np.linalg.eigvalsh(hermitian_part(m))[0])

@@ -8,19 +8,19 @@ purely classical assignment-matrix model cannot represent.
 
 effective_povm is the one builder of the elements and validate_povm the one
 validator of the POVM axioms (hermiticity, positivity, completeness): Povm
-raises from its report and the channel-validate command prints it. A Povm
+keeps its report and raises from it, and channel-validate prints it. A Povm
 holds its elements as one read-only N x N x N complex array indexed
 [k, i, j], laid out by its constructor.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .channels import KrausChannel, apply
-from .linalg import ATOL_PHYSICAL, as_square_stack
+from .linalg import ATOL_PHYSICAL, as_square_stack, hermiticity_and_min_eigenvalue
 
 
 @dataclass(frozen=True)
@@ -37,20 +37,19 @@ def validate_povm(elements) -> PovmReport:
     elements is a K x N x N stack (or a sequence of N x N arrays). The
     positivity defect is the most negative eigenvalue of any element's
     Hermitian part, clipped at zero; completeness is measured against I.
-    All three pass at ATOL_PHYSICAL.
+    All three pass at ATOL_PHYSICAL; a NaN defect fails.
     """
     f = as_square_stack(elements, name="POVM elements")
     if not np.all(np.isfinite(f)):
         raise ValueError("POVM elements contain non-finite entries")
-    f_dag = f.conj().swapaxes(1, 2)
-    hermiticity = float(np.max(np.abs(f - f_dag)))
-    positivity = max(0.0, -float(np.min(np.linalg.eigvalsh((f + f_dag) / 2.0))))
+    hermiticity, w_min = hermiticity_and_min_eigenvalue(f)
+    positivity = 0.0 if w_min >= 0.0 else -w_min
     completeness = float(np.max(np.abs(f.sum(axis=0) - np.eye(f.shape[1]))))
     return PovmReport(
         hermiticity_defect=hermiticity,
         positivity_defect=positivity,
         completeness_defect=completeness,
-        passed=max(hermiticity, positivity, completeness) <= ATOL_PHYSICAL,
+        passed=all(d <= ATOL_PHYSICAL for d in (hermiticity, positivity, completeness)),
     )
 
 
@@ -60,11 +59,12 @@ class Povm:
 
     elements may be given as any sequence of N x N arrays; it is stored as a
     read-only N x N x N complex copy, so later changes to the caller's arrays
-    do not reach the POVM.
+    do not reach the POVM. report is the validate_povm result it passed.
     """
 
     dim: int
     elements: np.ndarray
+    report: PovmReport = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         elems = as_square_stack(self.elements, name="POVM elements").copy()
@@ -78,12 +78,13 @@ class Povm:
         if elems.shape[1] != self.dim:
             raise ValueError(f"POVM elements have dimension {elems.shape[1]}, expected {self.dim}")
         report = validate_povm(elems)
+        object.__setattr__(self, "report", report)
         for axiom, defect in (
             ("hermiticity", report.hermiticity_defect),
             ("positivity", report.positivity_defect),
             ("completeness", report.completeness_defect),
         ):
-            if defect > ATOL_PHYSICAL:
+            if not defect <= ATOL_PHYSICAL:
                 raise ValueError(
                     f"POVM {axiom} violated: defect {defect:.3e} exceeds {ATOL_PHYSICAL:.1e}"
                 )

@@ -23,16 +23,17 @@ import numpy as np
 from .channels import KrausChannel, amplitude_damping, dephasing, rotation_y, superoperator
 from .linalg import ATOL_PHYSICAL, ATOL_STRUCTURAL, unvec, vec
 from .povm import Povm
-from .states import DensityMatrix, StateDecomposition, pack_coherences
+from .states import DensityMatrix, StateDecomposition, assemble_matrix, pack_coherences
 
 
 @dataclass(frozen=True)
 class ReadoutModel:
     """Assignment matrix (N x N) and coherence response (N x N(N-1)).
 
-    Columns of the assignment matrix sum to 1 and its entries lie in [0, 1];
-    columns of the coherence response sum to 0. Both follow from POVM
-    completeness and are enforced here at the physicality tolerance.
+    Row k of the assignment matrix and of half the coherence response are
+    the diagonal and the packed upper triangle of a POVM element F_k. The
+    pair is accepted only if the F_k rebuilt from them form a Povm, so that
+    z = A x + C y is a probability distribution for every state.
     """
 
     assignment: np.ndarray
@@ -48,14 +49,7 @@ class ReadoutModel:
             raise ValueError(
                 f"coherence response must have shape ({n}, {n * (n - 1)}), got {c.shape}"
             )
-        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(c))):
-            raise ValueError("readout model contains non-finite entries")
-        if np.max(np.abs(a.sum(axis=0) - 1.0)) > ATOL_PHYSICAL:
-            raise ValueError("assignment matrix columns must sum to 1")
-        if a.min() < -ATOL_PHYSICAL or a.max() > 1.0 + ATOL_PHYSICAL:
-            raise ValueError("assignment matrix entries must lie in [0, 1]")
-        if c.size and np.max(np.abs(c.sum(axis=0))) > ATOL_PHYSICAL:
-            raise ValueError("coherence response columns must sum to 0")
+        Povm(n, assemble_matrix(a, c / 2.0))
         object.__setattr__(self, "assignment", a)
         object.__setattr__(self, "coherence", c)
 

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import ATOL_PHYSICAL, as_square_array, is_hermitian, min_eigenvalue_hermitian
+from .linalg import ATOL_PHYSICAL, as_square_array, hermiticity_and_min_eigenvalue
 
 
 @lru_cache(maxsize=None)
@@ -25,12 +25,6 @@ def _upper_index(dim: int) -> tuple[np.ndarray, np.ndarray]:
     rows.flags.writeable = False
     cols.flags.writeable = False
     return rows, cols
-
-
-def coherence_pairs(dim: int) -> list[tuple[int, int]]:
-    """Index pairs (l, r) with l < r, lexicographic; the coherence vector order."""
-    rows, cols = _upper_index(dim)
-    return list(zip(rows.tolist(), cols.tolist()))
 
 
 def pack_coherences(m) -> np.ndarray:
@@ -57,13 +51,13 @@ class DensityMatrix:
         object.__setattr__(self, "matrix", a)
         if not np.all(np.isfinite(a)):
             raise ValueError("density matrix contains non-finite entries")
-        if not is_hermitian(a, ATOL_PHYSICAL):
+        hermiticity, w_min = hermiticity_and_min_eigenvalue(a)
+        if not hermiticity <= ATOL_PHYSICAL:
             raise ValueError("density matrix is not Hermitian within 1e-10")
         trace = complex(np.trace(a))
-        if abs(trace - 1.0) > ATOL_PHYSICAL:
+        if not abs(trace - 1.0) <= ATOL_PHYSICAL:
             raise ValueError(f"density matrix trace {trace!r} is not 1 within 1e-10")
-        w_min = min_eigenvalue_hermitian(a)
-        if w_min < -ATOL_PHYSICAL:
+        if not w_min >= -ATOL_PHYSICAL:
             raise ValueError(f"density matrix has negative eigenvalue {w_min:.3e}")
 
     @property
@@ -109,20 +103,22 @@ def split_matrix(m) -> tuple[np.ndarray, np.ndarray]:
 
 
 def assemble_matrix(x, y) -> np.ndarray:
-    """Inverse of split_matrix; the output is Hermitian by construction."""
+    """Inverse of split_matrix and pack_coherences; Hermitian by construction.
+
+    Leading axes of x (..., N) and y (..., N(N-1)) are kept: K rows give K x N x N.
+    """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    n = x.size
-    if y.size != n * (n - 1):
-        raise ValueError(
-            f"coherence vector must have length N(N-1) = {n * (n - 1)}, got {y.size}"
-        )
+    n = x.shape[-1]
+    expected = x.shape[:-1] + (n * (n - 1),)
+    if y.shape != expected:
+        raise ValueError(f"coherences must have shape {expected} (N(N-1) per row), got {y.shape}")
     c = np.ascontiguousarray(y).view(complex)
     rows, cols = _upper_index(n)
-    m = np.zeros((n, n), dtype=complex)
-    np.fill_diagonal(m, x)
-    m[rows, cols] = c
-    m[cols, rows] = c.conj()
+    m = np.zeros(x.shape[:-1] + (n, n), dtype=complex)
+    m.reshape(x.shape[:-1] + (n * n,))[..., :: n + 1] = x
+    m[..., rows, cols] = c
+    m[..., cols, rows] = c.conj()
     return m
 
 

@@ -6,10 +6,12 @@ to stdout plus the exit code contract: 0 success, 1 domain failure,
 """
 
 import json
+import warnings
 
 import numpy as np
 import pytest
 
+from coherent_readout import povm
 from coherent_readout.channels import random_channel, rotation_y
 from coherent_readout.cli import main
 from coherent_readout.formats import channel_to_obj, model_from_obj
@@ -72,6 +74,62 @@ def test_validate_reports_the_povm_validator_defects(capsys, write_json, dim, se
     assert doc["povm_positivity_defect"] == report.positivity_defect
     assert doc["povm_completeness_defect"] == report.completeness_defect
     assert doc["pass"] is report.passed is True
+
+
+def test_validate_runs_the_povm_validator_once(capsys, write_json, monkeypatch):
+    calls = []
+    original = povm.validate_povm
+
+    def counting(elements):
+        calls.append(1)
+        return original(elements)
+
+    monkeypatch.setattr(povm, "validate_povm", counting)
+    code, doc = run(capsys, "channel-validate", "--channel", write_json("ch.json", AMP_DAMP))
+    assert code == 0 and doc["pass"] is True
+    assert len(calls) == 1
+
+
+def test_validate_overflowing_channel_writes_no_infinity(capsys, write_json):
+    # sum_a E_a^dag E_a overflows to inf: the defect cannot be written as JSON.
+    path = write_json("ch.json", {"dim": 2, "kraus": [[[1e200, 0], [0, 0], [0, 0], [1, 0]]]})
+    # pytest's own warning capture would hide warnings from capsys.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["channel-validate", "--channel", path])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert [str(w.message) for w in caught] == []
+
+
+def compose_of(stages: int) -> dict:
+    return {"builtin": "compose", "params": {"channels": [AMP_DAMP] * stages}}
+
+
+def test_validate_compose_at_the_kraus_cap(capsys, write_json):
+    # 12 amplitude-damping stages give 2**12 = 4096 Kraus operators, the cap.
+    code, doc = run(capsys, "channel-validate", "--channel", write_json("ch.json", compose_of(12)))
+    assert code == 0 and doc["pass"] is True
+
+
+# Each spec stays small to build should a cap be missing.
+@pytest.mark.parametrize(
+    "spec",
+    [
+        compose_of(13),
+        {"builtin": "tensor", "params": {"factors": [compose_of(12), AMP_DAMP]}},
+        {"builtin": "pauli", "params": {"probs": [1.0] + [0.0] * 4**6}},
+        {"builtin": "tensor", "params": {"factors": [{"builtin": "identity", "params": {"n": 6}}, AMP_DAMP]}},
+    ],
+    ids=["compose-13-stages", "tensor-8192-operators", "pauli-4097-probs", "tensor-dim-128"],
+)
+def test_builtin_spec_beyond_the_caps_is_usage_error(capsys, write_json, spec):
+    code = main(["channel-validate", "--channel", write_json("ch.json", spec)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert one_error_line(captured)
 
 
 def test_validate_malformed_json_is_usage_error(capsys, tmp_path):
@@ -374,6 +432,25 @@ def test_schema_violation_is_usage_error(capsys, write_json, command, spec):
     assert code == 2
     assert captured.out == ""
     assert one_error_line(captured)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["forward", "--state", "state"], ["mitigate", "--z", "z"]],
+    ids=["forward", "mitigate"],
+)
+def test_model_of_no_povm_is_domain_error(capsys, write_json, argv):
+    # Columns of A sum to 1 and those of C to 0, but F_0 has eigenvalue -2.05.
+    files = {
+        "state": write_json("state.json", PLUS_STATE),
+        "z": write_json("z.json", {"z": [0.5, 0.5]}),
+        "model": write_json("model.json", {"A": [[1, 0], [0, 1]], "C": [[5, 0], [-5, 0]]}),
+    }
+    code = main([files.get(arg, arg) for arg in argv] + ["--model", files["model"]])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert one_error_line(captured) and "POVM positivity" in captured.err
 
 
 def test_unphysical_state_is_domain_error(capsys, write_json):

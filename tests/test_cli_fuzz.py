@@ -3,8 +3,8 @@
 Valid channel, state, model and distribution documents of dimension <= 4
 are mutated (keys dropped, values replaced by wrong types, booleans, huge
 numbers, lists lengthened or shortened) and fed to every command that reads
-them. Whatever the input, main() must return 0, 1 or 2 and never print a
-traceback.
+them. Whatever the input, main() must return 0, 1 or 2, never print a
+traceback, and print nothing to stdout but strict JSON.
 """
 
 import contextlib
@@ -39,6 +39,8 @@ def base_documents(n_qubits: int, seed: int, form: int) -> dict:
         {"builtin": "pauli", "params": {"probs": [0.7, 0.1, 0.1, 0.1]}},
         {"builtin": "tensor", "params": {"factors": [{"builtin": "identity", "params": {"n": 1}},
                                                     {"builtin": "rotation_y", "params": {"theta": 0.4}}]}},
+        {"builtin": "compose", "params": {"channels": [{"builtin": "dephasing", "params": {"lambda": 0.5}},
+                                                       {"builtin": "amplitude_damping", "params": {"gamma": 0.2}}]}},
     ]
     states = [
         {"n": n_qubits, "matrix": complex_matrix_to_pairs(rho)},
@@ -80,6 +82,10 @@ def mutate(doc, path, mutation, value):
     return doc
 
 
+def reject_constant(token):
+    raise AssertionError(f"stdout holds {token}, which is not JSON")
+
+
 COMMANDS = [
     ["channel-validate", "--channel", "channel"],
     ["model-extract", "--channel", "channel"],
@@ -94,7 +100,7 @@ COMMANDS = [
 @given(
     n_qubits=st.integers(1, 2),
     seed=st.integers(0, 2**16),
-    form=st.integers(0, 3),
+    form=st.integers(0, 4),
     target=st.sampled_from(["channel", "state", "model", "z", "counts"]),
     edits=st.lists(
         st.tuples(st.integers(0, 10**6), st.sampled_from(MUTATIONS), st.sampled_from(REPLACEMENTS)),
@@ -118,8 +124,10 @@ def test_mutated_documents_never_end_in_a_traceback(n_qubits, seed, form, target
             if target not in command:
                 continue
             argv = [files.get(arg, arg) for arg in command]
-            err = io.StringIO()
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = main(argv)
             assert code in (0, 1, 2), (argv, docs[target], err.getvalue())
             assert "Traceback" not in err.getvalue(), (docs[target], err.getvalue())
+            if out.getvalue():
+                json.loads(out.getvalue(), parse_constant=reject_constant)

@@ -95,6 +95,31 @@ def test_validate_povm_reports_each_defect():
     assert povm.validate_povm(povm.effective_povm(identity(2)).elements).passed
 
 
+def test_validate_povm_measures_defects_near_overflow():
+    # Forming (F + F^dag)/2 overflows to inf here, and the NaN eigenvalues
+    # that followed used to clip to a positivity defect of 0.0.
+    e0 = np.diag([1e308, -1e308])
+    report = povm.validate_povm([e0, np.eye(2) - e0])
+    assert report.positivity_defect >= 1e308
+    assert not report.passed
+    with pytest.raises(ValueError, match="positivity"):
+        povm.Povm(2, [e0, np.eye(2) - e0])
+
+
+def test_povm_rejects_an_unmeasurable_defect(monkeypatch):
+    nan_report = povm.PovmReport(np.nan, 0.0, 0.0, passed=False)
+    monkeypatch.setattr(povm, "validate_povm", lambda elements: nan_report)
+    with pytest.raises(ValueError, match="hermiticity"):
+        povm.Povm(2, np.eye(2)[:, None] * np.eye(2))
+
+
+def test_povm_keeps_its_report():
+    p = povm.effective_povm(rotation_y(0.3))
+    assert p.report == povm.validate_povm(p.elements)
+    assert p.report.passed
+    assert "report" not in repr(p)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_povm_rejects_non_finite(bad):
     e0 = np.diag([bad, 0.5]).astype(complex)

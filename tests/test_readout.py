@@ -24,6 +24,7 @@ from coherent_readout.povm import Povm, effective_povm
 from coherent_readout.readout import (
     ReadoutModel,
     classical_forward,
+    closed_form_zoo,
     extract,
     forward,
     nonclassicality,
@@ -32,6 +33,7 @@ from coherent_readout.readout import (
 from coherent_readout.states import (
     DensityMatrix,
     StateDecomposition,
+    assemble_matrix,
     decompose,
     random_density,
 )
@@ -112,19 +114,19 @@ def test_model_rejects_wrong_coherence_shape():
 
 def test_model_rejects_bad_column_sums():
     a = np.array([[0.9, 0.0], [0.0, 1.0]])
-    with pytest.raises(ValueError, match="sum to 1"):
+    with pytest.raises(ValueError, match="POVM completeness"):
         ReadoutModel(assignment=a, coherence=np.zeros((2, 2)))
 
 
 def test_model_rejects_out_of_range_entries():
     a = np.array([[1.5, 0.0], [-0.5, 1.0]])
-    with pytest.raises(ValueError, match="lie in"):
+    with pytest.raises(ValueError, match="POVM positivity"):
         ReadoutModel(assignment=a, coherence=np.zeros((2, 2)))
 
 
 def test_model_rejects_nonzero_coherence_column_sum():
     c = np.array([[0.3, 0.0], [0.0, 0.0]])
-    with pytest.raises(ValueError, match="sum to 0"):
+    with pytest.raises(ValueError, match="POVM positivity"):
         ReadoutModel(assignment=np.eye(2), coherence=c)
 
 
@@ -138,6 +140,27 @@ def test_model_rejects_non_finite_entries(bad):
     c[1, 0] = bad
     with pytest.raises(ValueError, match="non-finite"):
         ReadoutModel(assignment=np.eye(2), coherence=c)
+
+
+# Valid column sums and A in [0, 1], yet F_0 = [[1, 2.5], [2.5, 0]] has eigenvalue -2.05.
+NON_POVM_MODEL = {"A": [[1.0, 0.0], [0.0, 1.0]], "C": [[5.0, 0.0], [-5.0, 0.0]]}
+
+
+def test_model_rejects_coefficients_of_no_povm():
+    with pytest.raises(ValueError, match="POVM positivity"):
+        ReadoutModel(assignment=NON_POVM_MODEL["A"], coherence=NON_POVM_MODEL["C"])
+
+
+@pytest.mark.parametrize(
+    "ch",
+    [random_channel(2**n, 3, seed=90 + n) for n in range(1, 6)] + [case[2] for case in closed_form_zoo()],
+)
+def test_model_rebuilds_the_povm_it_was_read_from(ch):
+    # assemble_matrix inverts the extraction bit for bit, so ReadoutModel
+    # validates exactly the POVM that effective_povm built.
+    p = effective_povm(ch)
+    m = extract(p)
+    assert np.array_equal(assemble_matrix(m.assignment, m.coherence / 2.0), p.elements)
 
 
 @given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([2, 4]))

@@ -7,18 +7,24 @@ from coherent_readout.states import (
     DensityMatrix,
     StateDecomposition,
     assemble_matrix,
-    coherence_pairs,
     decompose,
+    pack_coherences,
     random_density,
     reconstruct,
     split_matrix,
 )
 
 
+def coherence_pairs(dim):
+    return list(zip(*np.triu_indices(dim, 1)))
+
+
 def test_coherence_pairs_order():
-    assert coherence_pairs(2) == [(0, 1)]
     assert coherence_pairs(3) == [(0, 1), (0, 2), (1, 2)]
-    assert len(coherence_pairs(8)) == 8 * 7 // 2
+    for dim in (2, 3, 8):
+        # Entry (l, r) holds l + i r, so the packed coordinates spell out the pairs.
+        m = np.add.outer(np.arange(dim), 1j * np.arange(dim))
+        assert pack_coherences(m).reshape(-1, 2).tolist() == [[l, r] for l, r in coherence_pairs(dim)]
 
 
 def test_decompose_basis_state():
