@@ -262,14 +262,15 @@ def load_json_file(path) -> object:
     """Parse a JSON file; the non-standard tokens NaN and +-Infinity are rejected.
 
     Overflowing literals such as 1e999 still parse to inf, so the loaders
-    above check finiteness again after parsing.
+    above check finiteness again after parsing. Nesting deeper than the
+    decoder's recursion limit is invalid JSON here too.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh, parse_constant=_reject_constant)
     except OSError as exc:
         raise FormatError(f"cannot open {path}: {exc.strerror or exc}") from None
-    except (json.JSONDecodeError, UnicodeDecodeError, FormatError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError, FormatError) as exc:
         raise FormatError(f"invalid JSON in {path}: {exc}") from None
 
 

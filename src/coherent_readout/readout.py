@@ -33,7 +33,8 @@ class ReadoutModel:
     Row k of the assignment matrix and of half the coherence response are
     the diagonal and the packed upper triangle of a POVM element F_k. The
     pair is accepted only if the F_k rebuilt from them form a Povm, so that
-    z = A x + C y is a probability distribution for every state.
+    z = A x + C y is a probability distribution for every state; extract
+    reads the pair off a Povm that already passed, and skips that check.
     """
 
     assignment: np.ndarray
@@ -59,12 +60,20 @@ class ReadoutModel:
 
 
 def extract(p: Povm) -> ReadoutModel:
-    """Read the model coefficients off the POVM elements."""
+    """Read the model coefficients off the POVM elements.
+
+    p was validated when it was built, so the model skips the rebuild and
+    second validation that ReadoutModel(A, C) runs on coefficients of
+    unknown origin.
+    """
     diag = np.diagonal(p.elements, axis1=1, axis2=2)
     bad = np.flatnonzero(np.max(np.abs(diag.imag), axis=1) > ATOL_STRUCTURAL)
     if bad.size:
         raise ValueError(f"POVM element {bad[0]} has non-real diagonal")
-    return ReadoutModel(assignment=diag.real.copy(), coherence=2.0 * pack_coherences(p.elements))
+    model = object.__new__(ReadoutModel)
+    object.__setattr__(model, "assignment", diag.real.copy())
+    object.__setattr__(model, "coherence", 2.0 * pack_coherences(p.elements))
+    return model
 
 
 def forward(model: ReadoutModel, decomp: StateDecomposition) -> np.ndarray:

@@ -8,7 +8,17 @@ density matrix, projecting every step back onto that set. That projection
 is Euclidean in the Frobenius norm of the matrix, ||rho||_F^2 = v^T D v with
 D = 1 on populations and 2 on coherences (each coherence pair appears twice
 in rho), so the gradient step is taken in the same metric:
-p - s D^{-1} B^T (B p - z), with s = 1 / ||B D^{-1/2}||_2^2.
+p - s D^{-1} B^T (B p - z), with s = 1 / ||B D^{-1/2}||_2^2, the inverse of
+the largest eigenvalue of the N x N Gram matrix G = B D^{-1} B^T, whose
+entries are G_kl = Tr(F_k F_l).
+
+The descent starts from the density matrix nearest the minimum-norm
+solution v* = v_I + D^{-1} B^T mu, G mu = z - B v_I: of all matrices that
+explain z exactly, v* is the one nearest the maximally mixed state v_I.
+That is the spectral projection of a linear-inversion estimate (Smolin,
+Gambetta & Smith, PRL 108, 070502, 2012). When v* is itself a state,
+consistent data are solved in closed form, and the answer is the
+consistent state nearest I/N, the least pure one.
 
 The steps are accelerated with FISTA momentum (Beck & Teboulle, SIAM J.
 Imaging Sci. 2, 183, 2009) and made monotone by a function-value restart
@@ -82,6 +92,11 @@ def assemble_b(model: ReadoutModel) -> np.ndarray:
 def project_to_simplex(u) -> np.ndarray:
     """Euclidean projection onto the probability simplex."""
     u = np.asarray(u, dtype=float)
+    # The projection is unchanged by a common shift; shifting the largest
+    # entry to 0 keeps the sums below from cancelling at large magnitudes
+    # (for [1e150, 1e150], 1 - 2e150 rounds to -2e150), and makes index 1
+    # feasible exactly: 0 + (1 - 0) / 1 > 0.
+    u = u - np.max(u)
     srt = np.sort(u)[::-1]
     css = np.cumsum(srt)
     idx = np.arange(1, u.size + 1)
@@ -100,35 +115,61 @@ def project_to_density_set(x, y) -> tuple[np.ndarray, np.ndarray]:
     the metric projection onto the density set, which the gradient descent
     in mitigate() needs: a plain trace rescale after clipping can cancel a
     gradient step exactly (whenever the step is parallel to the iterate)
-    and park the solver at a non-optimal point.
+    and park the solver at a non-optimal point. A matrix whose largest
+    eigenvalue is negative raises; the zero matrix maps to I/N.
     """
     m = assemble_matrix(x, y)
     w, v = np.linalg.eigh(m)
-    if np.max(w) <= 0.0:
+    if np.max(w) < 0.0:
         raise ValueError("projection degenerate: no positive eigenvalue mass")
     w = project_to_simplex(w)
     return split_matrix((v * w) @ v.conj().T)
 
 
-def _largest_eigenvalue(b: np.ndarray) -> float:
-    """Largest eigenvalue of b^T b, the squared spectral norm of b."""
-    return float(np.linalg.norm(b, 2)) ** 2
+def _largest_eigenvalue(g: np.ndarray) -> float:
+    """Largest eigenvalue of the symmetric matrix g."""
+    return float(np.linalg.eigvalsh(g)[-1])
+
+
+def _start(b: np.ndarray, d_inv: np.ndarray, gram: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """The density matrix nearest the consistent matrix nearest I/N, else I/N.
+
+    v* = v_I + D^-1 B^T mu with G mu = z - B v_I (minimum-norm mu) is the
+    Frobenius projection of I/N onto {rho : Tr(F_k rho) = z_k}. Its
+    projection onto the density set is v* itself when v* is a state. Where
+    v* is not finite or has no positive eigenvalue, the start is I/N.
+    """
+    n = z.size
+    v_mixed = np.concatenate([np.full(n, 1.0 / n), np.zeros(n * (n - 1))])
+    mu = np.linalg.lstsq(gram, z - b @ v_mixed, rcond=None)[0]
+    v_star = v_mixed + d_inv * (b.T @ mu)
+    if not np.all(np.isfinite(v_star)):
+        return v_mixed
+    try:
+        return np.concatenate(project_to_density_set(v_star[:n], v_star[n:]))
+    except ValueError:  # projection degenerate
+        return v_mixed
 
 
 def mitigate(problem: MitigationProblem, options: SolverOptions | None = None) -> MitigationResult:
     """Monotone FISTA on 0.5 ||z - B v||^2 over valid states.
 
-    Starts from the maximally mixed state (x = 1/N, y = 0). Each iteration
-    extrapolates a point from the last two accepted iterates, takes a
-    projected gradient step from it and accepts the result unless it raises
-    the residual. A rejected step resets the momentum, so the next step is
-    taken from the last accepted iterate itself; accepted iterates therefore
-    never raise the residual, and the last one is returned. iterations
-    counts every projected step, rejected ones included, so max_iterations
-    bounds the eigendecompositions; residual_history holds the start and
-    every accepted residual. converged means the Euclidean residual reached
-    residual_tol or a stationary point was reached: the projected step moved
-    its point by less than 1e-12, or a step without momentum was rejected.
+    Starts from the projection onto the density set of v*, the matrix
+    nearest I/N among those that explain z exactly (module docstring). When
+    v* is a state it is returned after 0 iterations, so consistent data give
+    the consistent state nearest I/N, the least pure one. Where v* is not
+    finite or has no positive eigenvalue, the start is I/N (x = 1/N, y = 0).
+    Each iteration extrapolates a point from the last two accepted iterates,
+    takes a projected gradient step from it and accepts the result unless it
+    raises the residual. A rejected step resets the momentum, so the next
+    step is taken from the last accepted iterate itself; accepted iterates
+    therefore never raise the residual, and the last one is returned.
+    iterations counts every projected step, rejected ones included, so
+    max_iterations bounds the loop's eigendecompositions; residual_history
+    holds the start and every accepted residual. converged means the
+    Euclidean residual reached residual_tol or a stationary point was
+    reached: the projected step moved its point by less than 1e-12, or a
+    step without momentum was rejected.
     """
     opts = options or SolverOptions()
     model = problem.model
@@ -136,13 +177,14 @@ def mitigate(problem: MitigationProblem, options: SolverOptions | None = None) -
     n = model.dim
     b = assemble_b(model)
     d_inv = np.concatenate([np.ones(n), np.full(n * (n - 1), 0.5)])
+    gram = (b * d_inv) @ b.T
 
-    lam = _largest_eigenvalue(b * np.sqrt(d_inv))
+    lam = _largest_eigenvalue(gram)
     if lam <= 0.0:
         raise ValueError("model matrix has no positive curvature; cannot set a step size")
     step = 1.0 / lam
 
-    v = np.concatenate([np.full(n, 1.0 / n), np.zeros(n * (n - 1))])
+    v = _start(b, d_inv, gram, z)
     v_prev = v
     t = 1.0
     residual = float(np.linalg.norm(z - b @ v))

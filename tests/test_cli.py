@@ -139,6 +139,17 @@ def test_validate_malformed_json_is_usage_error(capsys, tmp_path):
     assert code == 2
 
 
+def test_deeply_nested_json_is_usage_error(capsys, tmp_path):
+    # Deeper than the decoder's recursion limit: it raised RecursionError.
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000)
+    code = main(["channel-validate", "--channel", str(deep)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert one_error_line(captured)
+
+
 # ------------------------------------------------------------ model-extract
 
 
@@ -294,6 +305,20 @@ def test_mitigate_from_counts(capsys, write_json):
     code, doc = run(capsys, "mitigate", "--channel", ch, "--counts", counts)
     assert code == 0
     assert np.max(np.abs(np.array(doc["x"]) - [0.0, 1.0])) < 1e-6
+
+
+def test_mitigate_huge_distribution_ends_without_traceback(capsys, write_json):
+    # The simplex projection of the spectrum [1e150, 1e150] raised IndexError.
+    ch = write_json("ch.json", AMP_DAMP)
+    z = write_json("z.json", {"z": [1e150, 1e150]})
+    code = main(["mitigate", "--channel", ch, "--z", z])
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    if code == 0:
+        doc = json.loads(captured.out)
+        assert abs(sum(doc["x"]) - 1.0) < 1e-12
+    else:
+        assert code == 1 and one_error_line(captured)
 
 
 def test_mitigate_with_model_file(capsys, write_json):

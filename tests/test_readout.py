@@ -20,6 +20,7 @@ from coherent_readout.channels import (
     random_channel,
     rotation_y,
 )
+from coherent_readout import povm
 from coherent_readout.povm import Povm, effective_povm
 from coherent_readout.readout import (
     ReadoutModel,
@@ -156,11 +157,28 @@ def test_model_rejects_coefficients_of_no_povm():
     [random_channel(2**n, 3, seed=90 + n) for n in range(1, 6)] + [case[2] for case in closed_form_zoo()],
 )
 def test_model_rebuilds_the_povm_it_was_read_from(ch):
-    # assemble_matrix inverts the extraction bit for bit, so ReadoutModel
-    # validates exactly the POVM that effective_povm built.
+    # assemble_matrix inverts the extraction bit for bit, so the model that
+    # extract builds without a second check encodes exactly the POVM that
+    # effective_povm validated, and the checked constructor accepts it too.
     p = effective_povm(ch)
     m = extract(p)
     assert np.array_equal(assemble_matrix(m.assignment, m.coherence / 2.0), p.elements)
+    assert ReadoutModel(assignment=m.assignment, coherence=m.coherence) == m
+
+
+def test_extract_validates_the_povm_once(monkeypatch):
+    calls = []
+    original = povm.validate_povm
+
+    def counting(elements):
+        calls.append(1)
+        return original(elements)
+
+    monkeypatch.setattr(povm, "validate_povm", counting)
+    m = extract(effective_povm(random_channel(4, 3, seed=95)))
+    assert len(calls) == 1
+    ReadoutModel(assignment=m.assignment, coherence=m.coherence)
+    assert len(calls) == 2
 
 
 @given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([2, 4]))

@@ -18,6 +18,7 @@ from coherent_readout.solver import (
     MitigationProblem,
     MitigationResult,
     SolverOptions,
+    _largest_eigenvalue,
     assemble_b,
     classical_invert,
     mitigate,
@@ -36,15 +37,24 @@ def model_of(ch):
     return extract(effective_povm(ch))
 
 
-def consistent_problem(seed):
-    """Random channel and state with z generated by the model itself."""
+def consistent_channel_and_state(seed):
+    """The random channel and state behind consistent_problem(seed)."""
     n = 1 + (seed % 2)
     rng = np.random.default_rng(seed)
-    ch = random_channel(2**n, int(rng.integers(2, 6)), seed=seed + 3)
+    return random_channel(2**n, int(rng.integers(2, 6)), seed=seed + 3), random_density(n, seed + 11)
+
+
+def consistent_problem(seed):
+    """Random channel and state with z generated by the model itself."""
+    ch, rho = consistent_channel_and_state(seed)
     model = model_of(ch)
-    truth = decompose(random_density(n, seed + 11).matrix)
+    truth = decompose(rho.matrix)
     z = forward(model, truth)
     return MitigationProblem(model=model, z_observed=z), truth
+
+
+def three_qubit_channel_and_state(seed):
+    return random_channel(8, 2 + seed % 3, seed=seed), random_density(3, seed + 1)
 
 
 def damping_shot_problem(seed):
@@ -87,6 +97,18 @@ def test_simplex_projection_clips_to_vertex():
 
 def test_simplex_projection_shifts_interior_point():
     assert np.max(np.abs(project_to_simplex([0.8, 0.4]) - [0.7, 0.3])) < 1e-15
+
+
+@pytest.mark.parametrize(
+    "u, expected",
+    [([1e150, 1e150], [0.5, 0.5]), ([1e150, -1e150], [1.0, 0.0]), ([1e308, -1e308], [1.0, 0.0])],
+)
+def test_simplex_projection_of_huge_entries(u, expected):
+    # The sums of the threshold search used to cancel here, leaving no
+    # feasible index (IndexError) or a zero vector.
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = project_to_simplex(u)
+    assert np.array_equal(p, expected)
 
 
 @given(
@@ -153,6 +175,12 @@ def test_density_projection_rejects_negative_definite_input():
         project_to_density_set(np.array([-0.5, -0.5]), np.zeros(2))
 
 
+def test_density_projection_of_the_zero_matrix_is_maximally_mixed():
+    x, y = project_to_density_set(np.zeros(4), np.zeros(12))
+    assert np.max(np.abs(x - 0.25)) < 1e-15
+    assert np.max(np.abs(y)) < 1e-15
+
+
 # ------------------------------------------------------------------ options
 
 
@@ -192,10 +220,12 @@ def test_problem_rejects_non_finite():
 
 
 def test_identity_problem_converges_in_one_step():
+    # The one step is the closed-form start: |0><0| is the consistent state
+    # nearest I/2, so no iteration runs.
     problem = MitigationProblem(model=model_of(identity(2)), z_observed=np.array([1.0, 0.0]))
     res = mitigate(problem)
     assert res.converged
-    assert res.iterations == 1
+    assert res.iterations == 0
     assert res.residual < 1e-15
     assert np.max(np.abs(res.x_hat - [1.0, 0.0])) < 1e-15
     assert np.max(np.abs(res.y_hat)) < 1e-15
@@ -233,7 +263,9 @@ def test_residual_history_tracks_best_iterate(problem):
     assert res.residual_history[0] >= res.residual
     assert min(res.residual_history) == res.residual
     diffs = np.diff(res.residual_history)
-    assert diffs.max() <= 1e-12  # raw descent, small slack for roundoff
+    # Raw descent, small slack for roundoff; a problem solved at the start
+    # has a one-entry history.
+    assert np.all(diffs <= 1e-12)
 
 
 @pytest.mark.parametrize("seed", [3, 7])
@@ -245,7 +277,8 @@ def test_rejected_steps_count_as_iterations(seed):
     res = mitigate(problem)
     assert res.converged
     assert len(res.residual_history) < res.iterations + 1
-    for k in (30, 50, 80):
+    # Every cap below the uncapped count stops the same run early.
+    for k in (res.iterations // 3, res.iterations // 2, res.iterations - 1):
         capped = mitigate(problem, SolverOptions(max_iterations=k))
         assert capped.iterations <= k
         assert not capped.converged
@@ -265,10 +298,76 @@ def test_finite_shot_damping_problems_stop_before_the_cap(seed):
 
 
 def test_iteration_cap_reported_as_not_converged():
-    problem, _ = consistent_problem(5001)
+    problem, _ = damping_shot_problem(3)
     res = mitigate(problem, SolverOptions(max_iterations=1, residual_tol=1e-15))
     assert not res.converged
     assert res.iterations == 1
+
+
+@pytest.mark.parametrize(
+    "make, seed",
+    [(consistent_channel_and_state, s) for s in range(5000, 5006)]
+    + [(three_qubit_channel_and_state, s) for s in (60, 61, 62, 63)],
+)
+def test_consistent_data_are_solved_at_the_start(make, seed):
+    # The answer is I/N + sum_k mu_k F_k with sum_l Tr(F_k F_l) mu_l =
+    # z_k - Tr(F_k)/N: the consistent matrix nearest I/N in the Frobenius
+    # norm, computed here from the POVM elements rather than coordinates.
+    ch, rho = make(seed)
+    f = effective_povm(ch).elements
+    n = ch.dim
+    z = np.einsum("kij,ji->k", f, rho.matrix).real
+    gram = np.einsum("kij,lji->kl", f, f).real
+    mu = np.linalg.lstsq(gram, z - np.trace(f, axis1=1, axis2=2).real / n, rcond=None)[0]
+    expected = np.eye(n) / n + np.einsum("k,kij->ij", mu, f)
+    assert np.linalg.eigvalsh(expected)[0] > 0.0  # a state, so no iteration is needed
+
+    res = mitigate(MitigationProblem(model=model_of(ch), z_observed=z))
+    assert res.iterations == 0
+    assert res.converged
+    assert res.residual <= 1e-12
+    assert np.max(np.abs(assemble_matrix(res.x_hat, res.y_hat) - expected)) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "ch", [amplitude_damping(0.3), random_channel(4, 2, seed=65), random_channel(8, 3, seed=64)]
+)
+def test_step_size_is_the_squared_spectral_norm(ch):
+    # lambda_max(B D^-1 B^T) = ||B D^-1/2||_2^2, the Lipschitz constant of the gradient.
+    b = assemble_b(model_of(ch))
+    n = ch.dim
+    d_inv = np.concatenate([np.ones(n), np.full(n * (n - 1), 0.5)])
+    svd_value = np.linalg.norm(b * np.sqrt(d_inv), 2) ** 2
+    assert abs(_largest_eigenvalue((b * d_inv) @ b.T) - svd_value) <= 1e-12 * svd_value
+
+
+def test_degenerate_start_falls_back_to_the_maximally_mixed_state():
+    # z = [0, 0] is explained only by the zero matrix, up to roundoff that
+    # leaves it negative definite: projecting it would raise, so the
+    # solver starts from I/2 and reaches the best fit, residual 1/sqrt(2).
+    model = model_of(amplitude_damping(0.3))
+    z = np.zeros(2)
+    b = assemble_b(model)
+    d_inv = np.array([1.0, 1.0, 0.5, 0.5])
+    v_mixed = np.array([0.5, 0.5, 0.0, 0.0])
+    mu = np.linalg.lstsq((b * d_inv) @ b.T, z - b @ v_mixed, rcond=None)[0]
+    v_star = v_mixed + d_inv * (b.T @ mu)
+    with pytest.raises(ValueError, match="projection degenerate"):
+        project_to_density_set(v_star[:2], v_star[2:])
+
+    res = mitigate(MitigationProblem(model=model, z_observed=z))
+    assert res.converged
+    assert abs(res.residual - np.sqrt(0.5)) <= 1e-12
+
+
+def test_step_onto_the_zero_matrix_is_projected():
+    # From I/4 the first step lands exactly on the zero matrix, which
+    # projects back to I/4: the best fit, residual 1/sqrt(2).
+    model = model_of(tensor(amplitude_damping(1.0), identity(2)))
+    res = mitigate(MitigationProblem(model=model, z_observed=np.zeros(4)))
+    assert res.converged
+    assert abs(res.residual - np.sqrt(0.5)) <= 1e-12
+    DensityMatrix(assemble_matrix(res.x_hat, res.y_hat))
 
 
 def test_mitigate_handles_coherent_observation():
