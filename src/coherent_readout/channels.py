@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import ATOL_PHYSICAL, as_square_array, as_square_stack
+from .linalg import ATOL_PHYSICAL, as_square_array, as_square_stack, identity_defect
 
 _ID2 = np.eye(2, dtype=complex)
 _PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -45,8 +45,7 @@ def cptp_defect(ops: np.ndarray | Sequence[np.ndarray]) -> float:
 
     ops is a K x N x N stack or a sequence of N x N arrays.
     """
-    ops = as_square_stack(ops, name="Kraus operators")
-    return float(np.max(np.abs(_gram(ops) - np.eye(ops.shape[1]))))
+    return identity_defect(_gram(as_square_stack(ops, name="Kraus operators")))
 
 
 @dataclass(frozen=True)
@@ -79,7 +78,7 @@ class KrausChannel:
         ops = as_square_stack(self.kraus_ops, name="Kraus operators").copy()
         ops.flags.writeable = False
         object.__setattr__(self, "kraus_ops", ops)
-        if not np.all(np.isfinite(ops)):
+        if not np.isfinite(ops).all():
             raise ValueError("Kraus operators contain non-finite entries")
         if ops.shape[1] != self.dim:
             raise ValueError(f"Kraus operators have dimension {ops.shape[1]}, expected {self.dim}")

@@ -262,6 +262,10 @@ def main(argv=None) -> int:
     except (ValueError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except Exception as exc:  # a fault of the package, not of the input: still no traceback
+        detail = " ".join(str(exc).split())
+        print(f"error: internal {type(exc).__name__}: {detail}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -39,16 +39,26 @@ def as_square_stack(ms, name: str = "matrices") -> np.ndarray:
 def hermiticity_and_min_eigenvalue(m) -> tuple[float, float]:
     """Worst entry of |m - m^dag| and smallest eigenvalue of the Hermitian part.
 
-    m is one N x N matrix or a K x N x N stack; both numbers are taken over
-    the whole stack. The Hermitian part is formed as m/2 + m^dag/2, which
-    stays finite for every finite m, so the eigenvalue measures entries up
-    to the edge of the float range instead of turning into NaN.
+    m is one N x N matrix or a K x N x N stack, already checked for shape
+    (as_square_array, as_square_stack); both numbers are taken over the
+    whole stack. The Hermitian part is formed as m/2 + m^dag/2, which stays
+    finite for every finite m, so the eigenvalue measures entries up to the
+    edge of the float range instead of turning into NaN.
     """
     a = np.asarray(m, dtype=complex)
-    a = as_square_stack(a[np.newaxis] if a.ndim == 2 else a)
-    a_dag = a.conj().swapaxes(1, 2)
-    hermiticity = float(np.max(np.abs(a - a_dag)))
-    return hermiticity, float(np.min(np.linalg.eigvalsh(a / 2.0 + a_dag / 2.0)))
+    a_dag = a.conj().swapaxes(-1, -2)
+    hermiticity = float(np.abs(a - a_dag).max())
+    return hermiticity, float(np.linalg.eigvalsh(a / 2.0 + a_dag / 2.0).min())
+
+
+def identity_defect(s: np.ndarray) -> float:
+    """Worst entry of |s - I| for a square matrix s of its caller's own, which it overwrites.
+
+    Subtracting 1 from the diagonal in place gives the numbers of s - I
+    without building I.
+    """
+    s.flat[:: s.shape[0] + 1] -= 1.0
+    return float(np.abs(s).max())
 
 
 def vec(m) -> np.ndarray:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channels import KrausChannel, apply
-from .linalg import ATOL_PHYSICAL, as_square_stack, hermiticity_and_min_eigenvalue
+from .linalg import ATOL_PHYSICAL, as_square_stack, hermiticity_and_min_eigenvalue, identity_defect
 
 
 @dataclass(frozen=True)
@@ -40,11 +40,11 @@ def validate_povm(elements) -> PovmReport:
     All three pass at ATOL_PHYSICAL; a NaN defect fails.
     """
     f = as_square_stack(elements, name="POVM elements")
-    if not np.all(np.isfinite(f)):
+    if not np.isfinite(f).all():
         raise ValueError("POVM elements contain non-finite entries")
     hermiticity, w_min = hermiticity_and_min_eigenvalue(f)
     positivity = 0.0 if w_min >= 0.0 else -w_min
-    completeness = float(np.max(np.abs(f.sum(axis=0) - np.eye(f.shape[1]))))
+    completeness = identity_defect(f.sum(axis=0))
     return PovmReport(
         hermiticity_defect=hermiticity,
         positivity_defect=positivity,

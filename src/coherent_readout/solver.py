@@ -10,7 +10,8 @@ D = 1 on populations and 2 on coherences (each coherence pair appears twice
 in rho), so the gradient step is taken in the same metric:
 p - s D^{-1} B^T (B p - z), with s = 1 / ||B D^{-1/2}||_2^2, the inverse of
 the largest eigenvalue of the N x N Gram matrix G = B D^{-1} B^T, whose
-entries are G_kl = Tr(F_k F_l).
+entries are G_kl = Tr(F_k F_l). That eigenvalue is computed only when the
+loop runs: a start that already meets the tolerance takes no step.
 
 The descent starts from the density matrix nearest the minimum-norm
 solution v* = v_I + D^{-1} B^T mu, G mu = z - B v_I: of all matrices that
@@ -30,7 +31,9 @@ A classical assignment-only inverter is included for comparison.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -64,7 +67,7 @@ class MitigationProblem:
             raise ValueError(
                 f"observed distribution must have shape ({self.model.dim},), got {z.shape}"
             )
-        if not np.all(np.isfinite(z)):
+        if not np.isfinite(z).all():
             raise ValueError("observed distribution contains non-finite entries")
         object.__setattr__(self, "z_observed", z)
 
@@ -86,7 +89,7 @@ class MitigationResult:
 
 def assemble_b(model: ReadoutModel) -> np.ndarray:
     """Stacked model matrix B = [A C], mapping [x; y] to z."""
-    return np.hstack([model.assignment, model.coherence])
+    return np.concatenate([model.assignment, model.coherence], axis=1)
 
 
 def project_to_simplex(u) -> np.ndarray:
@@ -95,15 +98,17 @@ def project_to_simplex(u) -> np.ndarray:
     # The projection is unchanged by a common shift; shifting the largest
     # entry to 0 keeps the sums below from cancelling at large magnitudes
     # (for [1e150, 1e150], 1 - 2e150 rounds to -2e150), and makes index 1
-    # feasible exactly: 0 + (1 - 0) / 1 > 0.
-    u = u - np.max(u)
-    srt = np.sort(u)[::-1]
-    css = np.cumsum(srt)
-    idx = np.arange(1, u.size + 1)
-    feasible = srt + (1.0 - css) / idx > 0.0
-    k = idx[feasible][-1]
-    tau = (1.0 - css[feasible][-1]) / k
-    return np.maximum(u + tau, 0.0)
+    # feasible exactly: 0 + (1 - 0) / 1 > 0. Where the span of u exceeds the
+    # float range, the shift and the sums reach -inf and NaN; neither passes
+    # the feasibility test, so they change no result and need no warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = u - u.max()
+        srt = np.sort(u)[::-1]
+        css = np.cumsum(srt)
+        feasible = srt + (1.0 - css) / np.arange(1, u.size + 1) > 0.0
+        last = np.flatnonzero(feasible)[-1]
+        tau = (1.0 - css[last]) / (last + 1)
+        return np.maximum(u + tau, 0.0)
 
 
 def project_to_density_set(x, y) -> tuple[np.ndarray, np.ndarray]:
@@ -120,7 +125,7 @@ def project_to_density_set(x, y) -> tuple[np.ndarray, np.ndarray]:
     """
     m = assemble_matrix(x, y)
     w, v = np.linalg.eigh(m)
-    if np.max(w) < 0.0:
+    if w.max() < 0.0:
         raise ValueError("projection degenerate: no positive eigenvalue mass")
     w = project_to_simplex(w)
     return split_matrix((v * w) @ v.conj().T)
@@ -131,7 +136,24 @@ def _largest_eigenvalue(g: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(g)[-1])
 
 
-def _start(b: np.ndarray, d_inv: np.ndarray, gram: np.ndarray, z: np.ndarray) -> np.ndarray:
+@lru_cache(maxsize=None)
+def _metric(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """D^-1 and the coordinates v_I of I/N at dimension n; read-only, shared."""
+    d_inv = np.concatenate([np.ones(n), np.full(n * (n - 1), 0.5)])
+    v_mixed = np.concatenate([np.full(n, 1.0 / n), np.zeros(n * (n - 1))])
+    d_inv.flags.writeable = False
+    v_mixed.flags.writeable = False
+    return d_inv, v_mixed
+
+
+def _residual(b: np.ndarray, v: np.ndarray, z: np.ndarray) -> float:
+    """||z - B v||, inf where its square overflows; the caller judges that, so no warning."""
+    r = z - b @ v
+    with np.errstate(over="ignore"):
+        return float(np.sqrt(r @ r))
+
+
+def _start(b: np.ndarray, gram: np.ndarray, z: np.ndarray) -> np.ndarray:
     """The density matrix nearest the consistent matrix nearest I/N, else I/N.
 
     v* = v_I + D^-1 B^T mu with G mu = z - B v_I (minimum-norm mu) is the
@@ -140,10 +162,11 @@ def _start(b: np.ndarray, d_inv: np.ndarray, gram: np.ndarray, z: np.ndarray) ->
     v* is not finite or has no positive eigenvalue, the start is I/N.
     """
     n = z.size
-    v_mixed = np.concatenate([np.full(n, 1.0 / n), np.zeros(n * (n - 1))])
-    mu = np.linalg.lstsq(gram, z - b @ v_mixed, rcond=None)[0]
-    v_star = v_mixed + d_inv * (b.T @ mu)
-    if not np.all(np.isfinite(v_star)):
+    d_inv, v_mixed = _metric(n)
+    with np.errstate(over="ignore", invalid="ignore"):  # judged by the finiteness test
+        mu = np.linalg.lstsq(gram, z - b @ v_mixed, rcond=None)[0]
+        v_star = v_mixed + d_inv * (b.T @ mu)
+    if not np.isfinite(v_star).all():
         return v_mixed
     try:
         return np.concatenate(project_to_density_set(v_star[:n], v_star[n:]))
@@ -159,6 +182,8 @@ def mitigate(problem: MitigationProblem, options: SolverOptions | None = None) -
     v* is a state it is returned after 0 iterations, so consistent data give
     the consistent state nearest I/N, the least pure one. Where v* is not
     finite or has no positive eigenvalue, the start is I/N (x = 1/N, y = 0).
+    The step size, 1 / lambda_max of the Gram matrix, is computed only when
+    the start misses residual_tol and the loop runs.
     Each iteration extrapolates a point from the last two accepted iterates,
     takes a projected gradient step from it and accepts the result unless it
     raises the residual. A rejected step resets the momentum, so the next
@@ -176,23 +201,26 @@ def mitigate(problem: MitigationProblem, options: SolverOptions | None = None) -
     z = problem.z_observed
     n = model.dim
     b = assemble_b(model)
-    d_inv = np.concatenate([np.ones(n), np.full(n * (n - 1), 0.5)])
+    d_inv = _metric(n)[0]
     gram = (b * d_inv) @ b.T
 
-    lam = _largest_eigenvalue(gram)
-    if lam <= 0.0:
-        raise ValueError("model matrix has no positive curvature; cannot set a step size")
-    step = 1.0 / lam
-
-    v = _start(b, d_inv, gram, z)
+    v = _start(b, gram, z)
     v_prev = v
     t = 1.0
-    residual = float(np.linalg.norm(z - b @ v))
-    if not np.isfinite(residual):
+    residual = _residual(b, v, z)
+    if not math.isfinite(residual):
         raise ValueError("observed distribution is out of range: its residual overflows")
     history = [residual]
     converged = residual <= opts.residual_tol
     iterations = 0
+
+    if not converged:
+        # The F_k of a validated model sum to I, so lambda_max(G) >= 1^T G 1 / N = 1
+        # and this check cannot fire for one.
+        lam = _largest_eigenvalue(gram)
+        if lam <= 0.0:
+            raise ValueError("model matrix has no positive curvature; cannot set a step size")
+        step = 1.0 / lam
 
     while not converged and iterations < opts.max_iterations:
         t_next = (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
@@ -202,8 +230,8 @@ def mitigate(problem: MitigationProblem, options: SolverOptions | None = None) -
         v_new = np.concatenate([x_new, y_new])
         iterations += 1
 
-        residual_new = float(np.linalg.norm(z - b @ v_new))
-        if not np.isfinite(residual_new):
+        residual_new = _residual(b, v_new, z)
+        if not math.isfinite(residual_new):
             raise ValueError("solver diverged to non-finite values")
         if residual_new > residual:
             if t == 1.0:

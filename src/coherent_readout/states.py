@@ -5,7 +5,11 @@ x_l = <l|rho|l> and N(N-1) real coherence coordinates packing the upper
 triangle: for each pair l < r in lexicographic order, the entry
 c_lr = <l|rho|r> contributes (Re c_lr, Im c_lr) consecutively. That layout
 is shared by the readout model's coherence-response matrix and the
-mitigation solver, so it is defined once here.
+mitigation solver, so it is defined once here, as one cached pair of flat
+indices into the row-major N*N entries: l*N + r for the upper triangle and
+r*N + l for the mirrored lower one. Packing gathers the upper entries of a
+flattened matrix (or stack) in one step; assembling scatters them, and their
+conjugates, in one step each.
 """
 
 from __future__ import annotations
@@ -20,11 +24,14 @@ from .linalg import ATOL_PHYSICAL, as_square_array, hermiticity_and_min_eigenval
 
 @lru_cache(maxsize=None)
 def _upper_index(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column indices of the pairs l < r, lexicographic; read-only, shared."""
+    """Flat indices l*dim + r of the pairs l < r, lexicographic, and r*dim + l of their
+    mirrors; read-only, shared."""
     rows, cols = np.triu_indices(dim, 1)
-    rows.flags.writeable = False
-    cols.flags.writeable = False
-    return rows, cols
+    upper = rows * dim + cols
+    lower = cols * dim + rows
+    upper.flags.writeable = False
+    lower.flags.writeable = False
+    return upper, lower
 
 
 def pack_coherences(m) -> np.ndarray:
@@ -34,10 +41,13 @@ def pack_coherences(m) -> np.ndarray:
     kept, so a stack of K matrices gives a K x N(N-1) array.
     """
     m = np.asarray(m, dtype=complex)
-    rows, cols = _upper_index(m.shape[-1])
+    n = m.shape[-1]
+    upper = _upper_index(n)[0]
     # The float view of a C-contiguous complex128 array is exactly the
-    # (Re, Im) interleaving.
-    return np.ascontiguousarray(m[..., rows, cols]).view(float)
+    # (Re, Im) interleaving. The gather need not come out C-contiguous (for
+    # a stack it does not), so it is made so first.
+    flat = m.reshape(m.shape[:-2] + (n * n,))
+    return np.ascontiguousarray(flat[..., upper]).view(float)
 
 
 @dataclass(frozen=True)
@@ -49,12 +59,12 @@ class DensityMatrix:
     def __post_init__(self):
         a = as_square_array(self.matrix, name="density matrix")
         object.__setattr__(self, "matrix", a)
-        if not np.all(np.isfinite(a)):
+        if not np.isfinite(a).all():
             raise ValueError("density matrix contains non-finite entries")
         hermiticity, w_min = hermiticity_and_min_eigenvalue(a)
         if not hermiticity <= ATOL_PHYSICAL:
             raise ValueError("density matrix is not Hermitian within 1e-10")
-        trace = complex(np.trace(a))
+        trace = complex(a.trace())
         if not abs(trace - 1.0) <= ATOL_PHYSICAL:
             raise ValueError(f"density matrix trace {trace!r} is not 1 within 1e-10")
         if not w_min >= -ATOL_PHYSICAL:
@@ -82,7 +92,7 @@ class StateDecomposition:
             raise ValueError(
                 f"coherence vector must have length N(N-1) = {n * (n - 1)}, got {y.size}"
             )
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        if not (np.isfinite(x).all() and np.isfinite(y).all()):
             raise ValueError("state coordinates contain non-finite entries")
         if abs(x.sum() - 1.0) > ATOL_PHYSICAL:
             raise ValueError(f"populations must sum to 1, got {x.sum()!r}")
@@ -114,12 +124,12 @@ def assemble_matrix(x, y) -> np.ndarray:
     if y.shape != expected:
         raise ValueError(f"coherences must have shape {expected} (N(N-1) per row), got {y.shape}")
     c = np.ascontiguousarray(y).view(complex)
-    rows, cols = _upper_index(n)
-    m = np.zeros(x.shape[:-1] + (n, n), dtype=complex)
-    m.reshape(x.shape[:-1] + (n * n,))[..., :: n + 1] = x
-    m[..., rows, cols] = c
-    m[..., cols, rows] = c.conj()
-    return m
+    upper, lower = _upper_index(n)
+    m = np.zeros(x.shape[:-1] + (n * n,), dtype=complex)
+    m[..., :: n + 1] = x
+    m[..., upper] = c
+    m[..., lower] = c.conj()
+    return m.reshape(x.shape[:-1] + (n, n))
 
 
 def decompose(rho) -> StateDecomposition:

@@ -11,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from coherent_readout import povm
+from coherent_readout import cli, povm
 from coherent_readout.channels import random_channel, rotation_y
 from coherent_readout.cli import main
 from coherent_readout.formats import channel_to_obj, model_from_obj
@@ -548,3 +548,24 @@ def test_non_integer_dimension_is_usage_error(capsys, write_json, spec):
 def test_unknown_subcommand_is_usage_error(capsys):
     assert main(["frobnicate"]) == 2
     capsys.readouterr()
+
+
+def test_internal_failure_is_one_error_line(capsys, monkeypatch):
+    def broken(args):
+        raise RuntimeError("unexpected\nstate")
+
+    monkeypatch.setattr(cli, "cmd_paper_examples", broken)
+    code = main(["paper-examples"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: internal RuntimeError: unexpected state"]
+
+
+def test_keyboard_interrupt_is_not_caught(monkeypatch):
+    def interrupted(args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "cmd_paper_examples", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        main(["paper-examples"])

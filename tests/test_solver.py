@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coherent_readout import solver
 from coherent_readout.channels import (
     amplitude_damping,
     identity,
@@ -19,6 +20,7 @@ from coherent_readout.solver import (
     MitigationResult,
     SolverOptions,
     _largest_eigenvalue,
+    _metric,
     assemble_b,
     classical_invert,
     mitigate,
@@ -105,10 +107,40 @@ def test_simplex_projection_shifts_interior_point():
 )
 def test_simplex_projection_of_huge_entries(u, expected):
     # The sums of the threshold search used to cancel here, leaving no
-    # feasible index (IndexError) or a zero vector.
-    with np.errstate(over="ignore", invalid="ignore"):
-        p = project_to_simplex(u)
-    assert np.array_equal(p, expected)
+    # feasible index (IndexError) or a zero vector. The overflow of the
+    # last case is judged by the feasibility test, so it warns no more.
+    assert np.array_equal(project_to_simplex(u), expected)
+
+
+def simplex_by_gathers(u):
+    """Oracle: the same threshold search, with two boolean gathers."""
+    u = np.asarray(u, dtype=float)
+    u = u - np.max(u)
+    srt = np.sort(u)[::-1]
+    css = np.cumsum(srt)
+    idx = np.arange(1, u.size + 1)
+    feasible = srt + (1.0 - css) / idx > 0.0
+    k = idx[feasible][-1]
+    tau = (1.0 - css[feasible][-1]) / k
+    return np.maximum(u + tau, 0.0)
+
+
+def test_simplex_projection_is_bit_identical_to_the_gather_formula():
+    rng = np.random.default_rng(808)
+    for trial in range(3000):
+        size = int(rng.integers(1, 33))
+        kind = trial % 4
+        if kind == 0:  # magnitudes across the float range
+            u = rng.standard_normal(size) * 10.0 ** rng.uniform(-300, 300)
+        elif kind == 1:  # ties
+            u = rng.integers(-3, 4, size) / 4.0
+        elif kind == 2:  # all negative
+            u = -np.abs(rng.standard_normal(size)) * 10.0 ** rng.uniform(-5, 5)
+        else:  # spans near and beyond the float range
+            u = rng.choice([-1.0, 1.0], size) * rng.uniform(0.5, 1.0, size) * 1.7e308
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = simplex_by_gathers(u)
+        assert project_to_simplex(u).tobytes() == expected.tobytes(), u
 
 
 @given(
@@ -327,6 +359,34 @@ def test_consistent_data_are_solved_at_the_start(make, seed):
     assert res.converged
     assert res.residual <= 1e-12
     assert np.max(np.abs(assemble_matrix(res.x_hat, res.y_hat) - expected)) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "problem, loop_runs",
+    [(consistent_problem(5000)[0], False), (damping_shot_problem(3)[0], True)],
+    ids=["consistent", "finite-shot"],
+)
+def test_step_size_is_computed_only_when_the_loop_runs(monkeypatch, problem, loop_runs):
+    calls = []
+
+    def counting(g):
+        calls.append(1)
+        return _largest_eigenvalue(g)
+
+    monkeypatch.setattr(solver, "_largest_eigenvalue", counting)
+    res = mitigate(problem)
+    assert (res.iterations > 0) is loop_runs
+    assert len(calls) == int(loop_runs)
+
+
+def test_cached_metric_vectors_are_read_only():
+    d_inv, v_mixed = _metric(4)
+    assert _metric(4)[0] is d_inv
+    assert np.array_equal(d_inv, [1.0] * 4 + [0.5] * 12)
+    assert np.array_equal(v_mixed, [0.25] * 4 + [0.0] * 12)
+    for a in (d_inv, v_mixed):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 2.0
 
 
 @pytest.mark.parametrize(

@@ -27,6 +27,37 @@ def test_coherence_pairs_order():
         assert pack_coherences(m).reshape(-1, 2).tolist() == [[l, r] for l, r in coherence_pairs(dim)]
 
 
+def hermitian_from_upper_by_loop(m):
+    """Oracle: real diagonal and upper triangle of m, mirrored entry by entry."""
+    h = np.zeros(m.shape, dtype=complex)
+    for l in range(m.shape[0]):
+        h[l, l] = m[l, l].real
+    for l, r in coherence_pairs(m.shape[0]):
+        h[l, r] = m[l, r]
+        h[r, l] = m[l, r].conjugate()
+    return h
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 8])
+def test_layout_round_trips_on_stacks_einsum_output_and_transposed_views(dim):
+    rng = np.random.default_rng(dim)
+    ops = rng.standard_normal((3, dim, dim)) + 1j * rng.standard_normal((3, dim, dim))
+    einsum_out = np.einsum("aki,akj->kij", ops.conj(), ops)
+    transposed = ops.transpose(0, 2, 1)
+    nested = ops.reshape(3, 1, dim, dim).repeat(2, axis=1)
+    for m in (einsum_out, transposed, nested, einsum_out[0], transposed[2]):
+        x = np.diagonal(m, axis1=-2, axis2=-1).real
+        y = pack_coherences(m)
+        assert y.shape == m.shape[:-2] + (dim * (dim - 1),)
+        assembled = assemble_matrix(x, y)
+        rows = m.reshape(-1, dim, dim)
+        for got, one in zip(assembled.reshape(-1, dim, dim), rows):
+            assert np.array_equal(got, hermitian_from_upper_by_loop(one))
+        assert np.array_equal(pack_coherences(assembled), y)
+        # Coordinates given as a transposed (column-major) array assemble alike.
+        assert np.array_equal(assemble_matrix(np.asfortranarray(x), np.asfortranarray(y)), assembled)
+
+
 def test_decompose_basis_state():
     d = decompose(np.diag([1.0, 0.0]).astype(complex))
     assert np.array_equal(d.populations, [1.0, 0.0])
