@@ -31,7 +31,9 @@ PAULIS.flags.writeable = False
 
 def _gram(ops: np.ndarray) -> np.ndarray:
     """sum_a E_a^dag E_a of a K x N x N stack."""
-    return (ops.conj().swapaxes(1, 2) @ ops).sum(axis=0)
+    # Entries near the float range overflow to inf or NaN, a defect that fails.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (ops.conj().swapaxes(1, 2) @ ops).sum(axis=0)
 
 
 def _kron_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:

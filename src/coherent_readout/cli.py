@@ -92,16 +92,18 @@ def cmd_model_extract(args) -> int:
 
 def cmd_forward(args, mode=None) -> int:
     mode = mode or args.mode
-    rho = formats.state_from_obj(formats.load_json_file(args.state))
+    if mode != "model" and not args.channel:
+        raise formats.FormatError("oracle mode needs --channel")
+    model = _load_model_or_extract(args) if mode != "oracle" else None
+    ch = _load_channel(args.channel) if mode != "model" else None
+    if model is not None and ch is not None and model.dim != ch.dim:
+        raise formats.FormatError(f"model has dimension {model.dim}, channel {ch.dim}")
+    rho = formats.state_from_obj(formats.load_json_file(args.state), (ch or model).dim)
     out: dict = {}
-    if mode in ("model", "both"):
-        model = _load_model_or_extract(args)
+    if model is not None:
         z_model = readout.forward(model, decompose(rho))
         out["z_model" if mode == "both" else "z"] = [float(v) for v in z_model]
-    if mode in ("oracle", "both"):
-        if not args.channel:
-            raise formats.FormatError("oracle mode needs --channel")
-        ch = _load_channel(args.channel)
+    if ch is not None:
         z_oracle = readout.oracle_probabilities(ch, rho)
         out["z_oracle" if mode == "both" else "z"] = [float(v) for v in z_oracle]
     if mode == "both":
@@ -120,7 +122,7 @@ def cmd_sample(args) -> int:
     if args.seed < 0:
         raise formats.FormatError("--seed must be >= 0")
     ch = _load_channel(args.channel)
-    rho = formats.state_from_obj(formats.load_json_file(args.state))
+    rho = formats.state_from_obj(formats.load_json_file(args.state), ch.dim)
     z = readout.oracle_probabilities(ch, rho)
     if z.min() < -ATOL_PHYSICAL:
         raise ValueError(f"outcome distribution has negative entry {z.min():.3e}")

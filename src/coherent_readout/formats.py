@@ -3,11 +3,17 @@
 Complex matrices travel as row-major flat lists of [re, im] pairs. Floats
 are emitted with Python's shortest round-trip representation, so re-reading
 an emitted file reproduces the in-memory values bit-exactly.
+
+Every number a document holds is read by one reader, _numbers: it takes
+only JSON numbers (int or float; not bool, str or null), nested as lists at
+exactly the shape the field expects, and finite within the float range.
+Anything else raises FormatError.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 
@@ -27,6 +33,10 @@ MAX_DIM = 2**MAX_QUBITS
 MAX_KRAUS = MAX_DIM**2
 
 
+# The Python types json gives a number; bool, str and None are not among them.
+_JSON_NUMBERS = frozenset((int, float))
+
+
 class FormatError(ValueError):
     """Malformed or schema-violating input, or an unreadable or unwritable path;
     maps to CLI exit code 2."""
@@ -38,19 +48,7 @@ def complex_matrix_to_pairs(m) -> list:
 
 
 def complex_matrix_from_pairs(entries, dim: int, name: str = "matrix") -> np.ndarray:
-    if not isinstance(entries, (list, tuple)) or len(entries) != dim * dim:
-        raise FormatError(f"{name} must be a flat list of {dim * dim} [re, im] pairs")
-    flat = np.empty(dim * dim, dtype=complex)
-    for i, pair in enumerate(entries):
-        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-            raise FormatError(f"{name} entry {i} is not a [re, im] pair")
-        try:
-            flat[i] = complex(float(pair[0]), float(pair[1]))
-        except (TypeError, ValueError, OverflowError):
-            raise FormatError(f"{name} entry {i} has non-numeric or out-of-range parts") from None
-    if not np.all(np.isfinite(flat)):
-        raise FormatError(f"{name} has non-finite entries")
-    return flat.reshape((dim, dim), order="C")
+    return _numbers(entries, name, (dim * dim, 2)).view(complex).reshape(dim, dim)
 
 
 def _require(obj: dict, key: str, context: str):
@@ -59,16 +57,31 @@ def _require(obj: dict, key: str, context: str):
     return obj[key]
 
 
-def _as_float(value, context: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise FormatError(f"{context} must be a number")
+def _numbers(value, context: str, shape: tuple[int, ...] = ()) -> np.ndarray:
+    """value as a float array of exactly `shape`, read from JSON numbers only.
+
+    The nesting is walked one level of the expected shape at a time, so a
+    ragged, short or too deeply nested value fails at the first level that
+    differs, whatever the depth of the input.
+    """
+    level = [value]
+    for length in shape:
+        if not (set(map(type, level)) <= {list} and set(map(len, level)) <= {length}):
+            level = None
+            break
+        level = list(itertools.chain.from_iterable(level))
+    if level is None or not set(map(type, level)) <= _JSON_NUMBERS:
+        expected = "a JSON number"
+        if shape:
+            expected = f"a list of shape {' x '.join(map(str, shape))} of JSON numbers"
+        raise FormatError(f"{context} must be {expected}")
     try:
-        value = float(value)
-    except OverflowError:
-        raise FormatError(f"{context} is out of range") from None
-    if not np.isfinite(value):
-        raise FormatError(f"{context} must be finite")
-    return value
+        arr = np.array(level, dtype=float)
+    except OverflowError:  # an integer literal too large for a float: out of range, as 1e999 is
+        arr = np.array(np.inf)
+    if not np.isfinite(arr).all():  # a literal such as 1e999 parses to inf
+        raise FormatError(f"{context} must hold only finite numbers within the float range")
+    return arr.reshape(shape)
 
 
 def _is_int_in_range(value, limit: int) -> bool:
@@ -103,31 +116,27 @@ def channel_ops_from_obj(obj) -> tuple[int, np.ndarray]:
     kraus = _require(obj, "kraus", "channel spec")
     if not isinstance(kraus, list) or not kraus:
         raise FormatError("'kraus' must be a non-empty list of operators")
-    ops = np.stack(
-        [
-            complex_matrix_from_pairs(entries, dim, name=f"kraus operator {i}")
-            for i, entries in enumerate(kraus)
-        ]
-    )
-    return dim, ops
+    pairs = _numbers(kraus, "'kraus'", (len(kraus), dim * dim, 2))
+    return dim, pairs.view(complex).reshape(-1, dim, dim)
 
 
 def _builtin_channel(name: str, params: dict) -> _channels.KrausChannel:
+    def param(key: str) -> float:
+        return float(_numbers(_require(params, key, f"{name} params"), key))
+
     if name == "identity":
         return _channels.identity(_read_dim(params or {"dim": 2}, "identity params"))
     if name == "dephasing":
-        return _channels.dephasing(_as_float(_require(params, "lambda", "dephasing params"), "lambda"))
+        return _channels.dephasing(param("lambda"))
     if name == "amplitude_damping":
-        return _channels.amplitude_damping(
-            _as_float(_require(params, "gamma", "amplitude_damping params"), "gamma")
-        )
+        return _channels.amplitude_damping(param("gamma"))
     if name == "rotation_y":
-        return _channels.rotation_y(_as_float(_require(params, "theta", "rotation_y params"), "theta"))
+        return _channels.rotation_y(param("theta"))
     if name == "pauli":
         probs = _require(params, "probs", "pauli params")
         if not isinstance(probs, list) or len(probs) > MAX_KRAUS:
             raise FormatError(f"pauli 'probs' must be a list of at most {MAX_KRAUS} numbers")
-        return _channels.pauli_channel([_as_float(p, "pauli probability") for p in probs])
+        return _channels.pauli_channel(_numbers(probs, "pauli 'probs'", (len(probs),)))
     if name in ("tensor", "compose"):
         key = "factors" if name == "tensor" else "channels"
         specs = _require(params, key, f"{name} params")
@@ -167,30 +176,24 @@ def channel_to_obj(ch: _channels.KrausChannel) -> dict:
     return {"dim": ch.dim, "kraus": [complex_matrix_to_pairs(op) for op in ch.kraus_ops]}
 
 
-def state_from_obj(obj) -> DensityMatrix:
+def state_from_obj(obj, dim: int | None = None) -> DensityMatrix:
+    """State from a {'matrix'} or {'x', 'y'} object; of dimension dim, if given."""
     if not isinstance(obj, dict):
         raise FormatError("state spec must be a JSON object")
     if "matrix" in obj:
-        dim = _read_dim(obj, "state spec")
-        return DensityMatrix(complex_matrix_from_pairs(obj["matrix"], dim, name="state matrix"))
-    if "x" in obj and "y" in obj:
-        x = obj["x"]
-        y = obj["y"]
-        if not isinstance(x, list) or not isinstance(y, list):
-            raise FormatError("'x' and 'y' must be lists of numbers")
-        n = len(x)
-        if n == 0 or len(y) != n * (n - 1):
-            raise FormatError(
-                f"'x' must be non-empty and 'y' must have length N(N-1) = {n * (n - 1)}, "
-                f"got {len(y)}"
-            )
-        return DensityMatrix(
-            assemble_matrix(
-                [_as_float(v, "x entry") for v in x],
-                [_as_float(v, "y entry") for v in y],
-            )
-        )
-    raise FormatError("state spec needs either 'matrix' (with 'n' or 'dim') or 'x' and 'y'")
+        n = _read_dim(obj, "state spec")
+        matrix = complex_matrix_from_pairs(obj["matrix"], n, name="state matrix")
+    elif "x" in obj and "y" in obj:
+        n = len(obj["x"]) if isinstance(obj["x"], list) else 0
+        if n == 0:
+            raise FormatError("'x' must be a non-empty list of numbers")
+        x = _numbers(obj["x"], "'x'", (n,))
+        matrix = assemble_matrix(x, _numbers(obj["y"], "'y'", (n * (n - 1),)))
+    else:
+        raise FormatError("state spec needs either 'matrix' (with 'n' or 'dim') or 'x' and 'y'")
+    if dim is not None and n != dim:
+        raise FormatError(f"state spec has dimension {n}, expected {dim}")
+    return DensityMatrix(matrix)
 
 
 def model_to_obj(model: ReadoutModel) -> dict:
@@ -212,23 +215,14 @@ def model_from_obj(obj) -> ReadoutModel:
     order = obj.get("column_order", COLUMN_ORDER)
     if order != COLUMN_ORDER:
         raise FormatError(f"unsupported column_order {order!r}, expected {COLUMN_ORDER!r}")
-    try:
-        a_arr = np.array(a, dtype=float)
-        c_arr = np.array(c, dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        raise FormatError("model matrices must be nested lists of finite numbers") from None
-    if not (np.all(np.isfinite(a_arr)) and np.all(np.isfinite(c_arr))):
-        raise FormatError("model matrices have non-finite entries")
-    if a_arr.ndim != 2 or a_arr.shape[0] != a_arr.shape[1]:
-        raise FormatError(f"'A' must be a square nested list, got shape {a_arr.shape}")
-    n = a_arr.shape[0]
+    n = len(a) if isinstance(a, list) else 0
+    if n == 0:
+        raise FormatError("'A' must be a non-empty square nested list of numbers")
     if ("dim" in obj or "n" in obj) and _read_dim(obj, "model spec") != n:
         raise FormatError("model spec dimension does not match 'A'")
-    if c_arr.ndim == 1 and c_arr.size == 0:
-        c_arr = c_arr.reshape(n, 0)
-    if c_arr.shape != (n, n * (n - 1)):
-        raise FormatError(f"'C' must have shape ({n}, {n * (n - 1)}), got {c_arr.shape}")
-    return ReadoutModel(assignment=a_arr, coherence=c_arr)
+    if n == 1 and c == []:  # a 1-level model has no coherences: C is 1 x 0
+        c = [[]]
+    return ReadoutModel(_numbers(a, "'A'", (n, n)), _numbers(c, "'C'", (n, n * (n - 1))))
 
 
 def distribution_from_obj(obj, dim: int) -> np.ndarray:
@@ -236,15 +230,9 @@ def distribution_from_obj(obj, dim: int) -> np.ndarray:
     if not isinstance(obj, dict):
         raise FormatError("distribution spec must be a JSON object")
     if "z" in obj:
-        z = obj["z"]
-        if not isinstance(z, list) or len(z) != dim:
-            raise FormatError(f"'z' must be a list of {dim} numbers")
-        return np.array([_as_float(v, "z entry") for v in z], dtype=float)
+        return _numbers(obj["z"], "'z'", (dim,))
     if "counts" in obj:
-        counts = obj["counts"]
-        if not isinstance(counts, list) or len(counts) != dim:
-            raise FormatError(f"'counts' must be a list of {dim} integers")
-        arr = np.array([_as_float(v, "count") for v in counts], dtype=float)
+        arr = _numbers(obj["counts"], "'counts'", (dim,))
         if np.any(arr < 0):
             raise FormatError("counts must be non-negative")
         total = arr.sum()
@@ -261,8 +249,8 @@ def _reject_constant(token: str):
 def load_json_file(path) -> object:
     """Parse a JSON file; the non-standard tokens NaN and +-Infinity are rejected.
 
-    Overflowing literals such as 1e999 still parse to inf, so the loaders
-    above check finiteness again after parsing. Nesting deeper than the
+    Overflowing literals such as 1e999 still parse to inf, so _numbers
+    checks finiteness again after parsing. Nesting deeper than the
     decoder's recursion limit is invalid JSON here too.
     """
     try:

@@ -43,11 +43,13 @@ def hermiticity_and_min_eigenvalue(m) -> tuple[float, float]:
     (as_square_array, as_square_stack); both numbers are taken over the
     whole stack. The Hermitian part is formed as m/2 + m^dag/2, which stays
     finite for every finite m, so the eigenvalue measures entries up to the
-    edge of the float range instead of turning into NaN.
+    edge of the float range instead of turning into NaN. The difference
+    m - m^dag can overflow there; its inf is a defect every caller rejects.
     """
     a = np.asarray(m, dtype=complex)
     a_dag = a.conj().swapaxes(-1, -2)
-    hermiticity = float(np.abs(a - a_dag).max())
+    with np.errstate(over="ignore"):
+        hermiticity = float(np.abs(a - a_dag).max())
     return hermiticity, float(np.linalg.eigvalsh(a / 2.0 + a_dag / 2.0).min())
 
 

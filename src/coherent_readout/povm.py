@@ -44,7 +44,8 @@ def validate_povm(elements) -> PovmReport:
         raise ValueError("POVM elements contain non-finite entries")
     hermiticity, w_min = hermiticity_and_min_eigenvalue(f)
     positivity = 0.0 if w_min >= 0.0 else -w_min
-    completeness = identity_defect(f.sum(axis=0))
+    with np.errstate(over="ignore"):  # an overflowing sum is an inf defect, which fails
+        completeness = identity_defect(f.sum(axis=0))
     return PovmReport(
         hermiticity_defect=hermiticity,
         positivity_defect=positivity,

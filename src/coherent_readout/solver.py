@@ -263,12 +263,10 @@ def classical_invert(model: ReadoutModel, z) -> np.ndarray:
     z = np.asarray(z, dtype=float)
     if z.shape != (model.dim,):
         raise ValueError(f"distribution must have shape ({model.dim},), got {z.shape}")
-    a = model.assignment
-    svals = np.linalg.svd(a, compute_uv=False)
+    x_ls, _, _, svals = np.linalg.lstsq(model.assignment, z, rcond=None)
     if svals[-1] <= _SINGULAR_TOL * max(1.0, svals[0]):
         raise ValueError(
             f"assignment matrix is singular at tolerance {_SINGULAR_TOL:.1e} "
             f"(smallest singular value {svals[-1]:.3e})"
         )
-    x_ls, *_ = np.linalg.lstsq(a, z, rcond=None)
     return project_to_simplex(x_ls)

@@ -36,6 +36,14 @@ def test_channel_constructor_rejects_non_finite(bad):
         channels.KrausChannel(2, (np.eye(2), np.full((2, 2), bad)))
 
 
+def test_overflowing_gram_is_rejected_without_warning():
+    # sum_a E_a^dag E_a overflows to inf; RuntimeWarnings are errors in this suite.
+    ops = [[[1e200, 0], [0, 1]]]
+    assert channels.cptp_defect(ops) == np.inf
+    with pytest.raises(ValueError, match="trace preservation"):
+        channels.KrausChannel(2, ops)
+
+
 def test_channel_constructor_rejects_violations():
     with pytest.raises(ValueError, match="trace preservation"):
         channels.KrausChannel(2, (0.9 * np.eye(2),))

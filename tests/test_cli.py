@@ -431,30 +431,108 @@ def test_invalid_solver_flag_is_usage_error(capsys, write_json, flag, value):
     assert one_error_line(captured)
 
 
+TWO_QUBIT_STATE = {"x": [1, 0, 0, 0], "y": [0] * 12}
+TWO_QUBIT_MODEL = {"A": np.eye(4).tolist(), "C": np.zeros((4, 12)).tolist()}
+
+
 @pytest.mark.parametrize(
-    "command, spec",
+    "argv, docs",
     [
-        ("state", {"x": [1, 0], "y": [0]}),
-        ("state", {"x": [], "y": []}),
-        ("model", {"A": [[1.0, 0.0], [0.0, 1.0]], "C": [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]}),
-        ("model", {"A": [[1.0, 0.0]], "C": [[0.0, 0.0]]}),
-        ("seed", None),
+        (["forward", "--channel", "ch", "--state", "state"], {"state": {"x": [1, 0], "y": [0]}}),
+        (["forward", "--channel", "ch", "--state", "state"], {"state": {"x": [], "y": []}}),
+        (["forward", "--model", "model", "--state", "state"],
+         {"model": {"A": [[1.0, 0.0], [0.0, 1.0]], "C": [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]}}),
+        (["forward", "--model", "model", "--state", "state"], {"model": {"A": [[1.0, 0.0]], "C": [[0.0, 0.0]]}}),
+        (["sample", "--channel", "ch", "--state", "state", "--shots", "10", "--seed", "-1"], {}),
+        # A state whose dimension differs from the channel's or the model's.
+        (["forward", "--channel", "ch", "--state", "state"], {"state": TWO_QUBIT_STATE}),
+        (["forward", "--model", "model", "--state", "state"],
+         {"model": {"A": [[1, 0], [0, 1]], "C": [[0, 0], [0, 0]]}, "state": TWO_QUBIT_STATE}),
+        (["forward", "--model", "model", "--state", "state"], {"model": TWO_QUBIT_MODEL}),
+        (["oracle", "--channel", "ch", "--state", "state"], {"state": TWO_QUBIT_STATE}),
+        (["sample", "--channel", "ch", "--state", "state", "--shots", "10"], {"state": TWO_QUBIT_STATE}),
+        (["forward", "--mode", "both", "--model", "model", "--channel", "ch", "--state", "state"],
+         {"model": TWO_QUBIT_MODEL, "state": TWO_QUBIT_STATE}),
     ],
-    ids=["short-y", "empty-x", "wrong-C-shape", "non-square-A", "negative-seed"],
+    ids=["short-y", "empty-x", "wrong-C-shape", "non-square-A", "negative-seed",
+         "state-vs-channel", "state-vs-model", "model-vs-state", "oracle-state-vs-channel",
+         "sample-state-vs-channel", "model-vs-channel"],
 )
-def test_schema_violation_is_usage_error(capsys, write_json, command, spec):
-    if command == "state":
-        argv = ["forward", "--channel", write_json("ch.json", AMP_DAMP),
-                "--state", write_json("state.json", spec)]
-    elif command == "model":
-        argv = ["forward", "--model", write_json("model.json", spec),
-                "--state", write_json("state.json", GROUND_STATE)]
-    else:
-        argv = ["sample", "--channel", write_json("ch.json", AMP_DAMP),
-                "--state", write_json("state.json", GROUND_STATE), "--shots", "10", "--seed", "-1"]
-    code = main(argv)
+def test_schema_violation_is_usage_error(capsys, write_json, argv, docs):
+    docs = {"ch": AMP_DAMP, "state": GROUND_STATE, **docs}
+    files = {name: write_json(name + ".json", doc) for name, doc in docs.items()}
+    code = main([files.get(arg, arg) for arg in argv])
     captured = capsys.readouterr()
     assert code == 2
+    assert captured.out == ""
+    assert one_error_line(captured)
+
+
+def test_one_level_model_may_give_C_as_an_empty_list(capsys, write_json):
+    model = write_json("model.json", {"A": [[1]], "C": []})
+    state = write_json("state.json", {"x": [1], "y": []})
+    code, out = run(capsys, "forward", "--model", model, "--state", state)
+    assert code == 0 and out == {"z": [1.0]}
+
+
+def nested(depth):
+    value = 0.5
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+# One number of each field that holds numbers: the command that reads it, the
+# valid documents it reads, and the path to the number in one of them.
+NUMBER_FIELDS = {
+    "kraus": (["channel-validate", "--channel", "ch"], {"ch": IDENTITY_KRAUS}, ("ch", "kraus", 0, 0, 0)),
+    "state-matrix": (["forward", "--channel", "ch", "--state", "state"], {"state": PLUS_STATE},
+                     ("state", "matrix", 1, 0)),
+    "x": (["forward", "--channel", "ch", "--state", "state"], {"state": {"x": [1, 0], "y": [0, 0]}},
+          ("state", "x", 0)),
+    "y": (["forward", "--channel", "ch", "--state", "state"], {"state": {"x": [1, 0], "y": [0, 0]}},
+          ("state", "y", 1)),
+    "A": (["forward", "--model", "model", "--state", "state"], {}, ("model", "A", 0, 0)),
+    "C": (["forward", "--model", "model", "--state", "state"], {}, ("model", "C", 1, 0)),
+    "z": (["mitigate", "--model", "model", "--z", "z"], {}, ("z", "z", 0)),
+    "counts": (["mitigate", "--model", "model", "--counts", "counts"], {}, ("counts", "counts", 1)),
+    "gamma": (["channel-validate", "--channel", "ch"], {}, ("ch", "params", "gamma")),
+    "lambda": (["channel-validate", "--channel", "ch"],
+               {"ch": {"builtin": "dephasing", "params": {"lambda": 0.5}}}, ("ch", "params", "lambda")),
+    "theta": (["channel-validate", "--channel", "ch"], {"ch": ROTATION}, ("ch", "params", "theta")),
+    "probs": (["channel-validate", "--channel", "ch"],
+              {"ch": {"builtin": "pauli", "params": {"probs": [1, 0, 0, 0]}}}, ("ch", "params", "probs", 0)),
+}
+NOT_NUMBERS = {
+    "string": "0.5",
+    "boolean": True,
+    "null": None,
+    "ragged": [[0.5], [0.5, 0.5]],
+    "nested-100": nested(100),
+    "huge-int": 10**999,
+}
+
+
+@pytest.mark.parametrize("bad", NOT_NUMBERS)
+@pytest.mark.parametrize("field", NUMBER_FIELDS)
+def test_only_json_numbers_are_read_as_numbers(capsys, write_json, field, bad):
+    argv, docs, path = NUMBER_FIELDS[field]
+    docs = {
+        "ch": AMP_DAMP,
+        "state": GROUND_STATE,
+        "model": {"A": [[1, 0], [0, 1]], "C": [[0, 0], [0, 0]]},
+        "z": {"z": [0.5, 0.5]},
+        "counts": {"shots": 2, "counts": [1, 1]},
+        **json.loads(json.dumps(docs)),
+    }
+    parent = docs
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = NOT_NUMBERS[bad]
+    files = {name: write_json(name + ".json", doc) for name, doc in docs.items()}
+    code = main([files.get(arg, arg) for arg in argv])
+    captured = capsys.readouterr()
+    assert code == 2, captured.err
     assert captured.out == ""
     assert one_error_line(captured)
 

@@ -4,7 +4,8 @@ Valid channel, state, model and distribution documents of dimension <= 4
 are mutated (keys dropped, values replaced by wrong types, booleans, huge
 numbers, lists lengthened or shortened) and fed to every command that reads
 them. Whatever the input, main() must return 0, 1 or 2, never print a
-traceback, and print nothing to stdout but strict JSON.
+traceback, and print nothing to stdout but strict JSON. A number replaced
+by anything that is not a JSON number must give exit 2.
 """
 
 import contextlib
@@ -26,6 +27,7 @@ from coherent_readout.states import random_density, split_matrix
 
 REPLACEMENTS = [None, True, False, "x", 0, -1, 3, 1e308, -1e308, 10**400, [], {}, [[1, 0]]]
 MUTATIONS = ["drop", "replace", "lengthen", "shorten"]
+NOT_NUMBERS = ["0.5", "", True, False, None, [], [0.5], [[0.5], [0.5, 0.5]], {}, [[[[[[[[0.5]]]]]]]]]
 
 
 def base_documents(n_qubits: int, seed: int, form: int) -> dict:
@@ -82,6 +84,16 @@ def mutate(doc, path, mutation, value):
     return doc
 
 
+def number_paths(doc):
+    """Paths to the numbers of a document that a command reads ('shots' is not read)."""
+    for path in paths(doc):
+        node = doc
+        for key in path:
+            node = node[key]
+        if type(node) in (int, float) and "shots" not in path:
+            yield path
+
+
 def reject_constant(token):
     raise AssertionError(f"stdout holds {token}, which is not JSON")
 
@@ -95,6 +107,24 @@ COMMANDS = [
     ["mitigate", "--model", "model", "--z", "z", "--max-iters", "50"],
     ["mitigate", "--channel", "channel", "--counts", "counts", "--max-iters", "50"],
 ]
+
+
+def run_commands(docs, target):
+    """(argv, exit code, stdout, stderr) of every command that reads docs[target]."""
+    with tempfile.TemporaryDirectory() as tmp:
+        files = {}
+        for name, doc in docs.items():
+            files[name] = os.path.join(tmp, name + ".json")
+            with open(files[name], "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
+        for command in COMMANDS:
+            if target not in command:
+                continue
+            argv = [files.get(arg, arg) for arg in command]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            yield argv, code, out.getvalue(), err.getvalue()
 
 
 @given(
@@ -114,20 +144,27 @@ def test_mutated_documents_never_end_in_a_traceback(n_qubits, seed, form, target
     for pick, mutation, value in edits:
         candidates = list(paths(docs[target]))
         docs[target] = mutate(docs[target], candidates[pick % len(candidates)], mutation, value)
-    with tempfile.TemporaryDirectory() as tmp:
-        files = {}
-        for name, doc in docs.items():
-            files[name] = os.path.join(tmp, name + ".json")
-            with open(files[name], "w", encoding="utf-8") as fh:
-                json.dump(doc, fh)
-        for command in COMMANDS:
-            if target not in command:
-                continue
-            argv = [files.get(arg, arg) for arg in command]
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main(argv)
-            assert code in (0, 1, 2), (argv, docs[target], err.getvalue())
-            assert "Traceback" not in err.getvalue(), (docs[target], err.getvalue())
-            if out.getvalue():
-                json.loads(out.getvalue(), parse_constant=reject_constant)
+    for argv, code, out, err in run_commands(docs, target):
+        assert code in (0, 1, 2), (argv, docs[target], err)
+        assert "Traceback" not in err, (docs[target], err)
+        if out:
+            json.loads(out, parse_constant=reject_constant)
+
+
+@given(
+    n_qubits=st.integers(1, 2),
+    seed=st.integers(0, 2**16),
+    form=st.integers(0, 4),
+    target=st.sampled_from(["channel", "state", "model", "z", "counts"]),
+    pick=st.integers(0, 10**6),
+    value=st.sampled_from(NOT_NUMBERS),
+)
+@settings(max_examples=60, deadline=None)
+def test_a_number_replaced_by_a_non_number_is_a_usage_error(n_qubits, seed, form, target, pick, value):
+    docs = base_documents(n_qubits, seed, form)
+    candidates = list(number_paths(docs[target]))
+    docs[target] = mutate(docs[target], candidates[pick % len(candidates)], "replace", value)
+    for argv, code, out, err in run_commands(docs, target):
+        assert code == 2, (argv, docs[target], err)
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error:")

@@ -55,6 +55,13 @@ def test_hermitian_part_does_not_overflow():
     assert w_min == -1e308
 
 
+def test_hermiticity_defect_overflows_without_warning():
+    # m - m^dag overflows to inf; RuntimeWarnings are errors in this suite.
+    hermiticity, w_min = hermiticity_and_min_eigenvalue(np.array([[0.0, 1e308], [-1e308, 0.0]]))
+    assert hermiticity == np.inf
+    assert w_min == 0.0
+
+
 def test_min_eigenvalue_identity():
     assert min_eigenvalue(np.eye(3)) == pytest.approx(1.0, abs=1e-12)
 

@@ -106,6 +106,13 @@ def test_validate_povm_measures_defects_near_overflow():
         povm.Povm(2, [e0, np.eye(2) - e0])
 
 
+def test_validate_povm_rejects_an_overflowing_sum_without_warning():
+    # sum_k F_k overflows to inf; RuntimeWarnings are errors in this suite.
+    report = povm.validate_povm([np.diag([1e308, 0]), np.diag([1e308, 1])])
+    assert report.completeness_defect == np.inf
+    assert not report.passed
+
+
 def test_povm_rejects_an_unmeasurable_defect(monkeypatch):
     nan_report = povm.PovmReport(np.nan, 0.0, 0.0, passed=False)
     monkeypatch.setattr(povm, "validate_povm", lambda elements: nan_report)
