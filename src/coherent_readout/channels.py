@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import ATOL_PHYSICAL, as_square_array, as_square_stack, identity_defect
+from .linalg import ATOL_PHYSICAL, ATOL_STRUCTURAL, as_square_array, as_square_stack, identity_defect
 
 _ID2 = np.eye(2, dtype=complex)
 _PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -169,7 +169,7 @@ def pauli_channel(probs: Sequence[float]) -> KrausChannel:
         raise ValueError(f"probs must have length 4**n, got {p.size}")
     if np.any(p < 0.0):
         raise ValueError("probabilities must be non-negative")
-    if abs(p.sum() - 1.0) > 1e-12:
+    if abs(p.sum() - 1.0) > ATOL_STRUCTURAL:
         raise ValueError(f"probabilities must sum to 1, got {p.sum()!r}")
 
     strings = np.ones((1, 1, 1), dtype=complex)

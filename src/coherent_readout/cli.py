@@ -35,12 +35,15 @@ def _load_channel(path) -> channels.KrausChannel:
     return formats.channel_from_obj(formats.load_json_file(path))
 
 
-def _load_model_or_extract(args) -> readout.ReadoutModel:
+def _load_model_or_extract(args, ch=None) -> readout.ReadoutModel:
+    """The --model file's model, else the model of ch or of the --channel file."""
     if getattr(args, "model", None):
         return formats.model_from_obj(formats.load_json_file(args.model))
-    if getattr(args, "channel", None):
-        return readout.extract(povm.effective_povm(_load_channel(args.channel)))
-    raise formats.FormatError("need --model or --channel")
+    if ch is None and getattr(args, "channel", None):
+        ch = _load_channel(args.channel)
+    if ch is None:
+        raise formats.FormatError("need --model or --channel")
+    return readout.extract(povm.effective_povm(ch))
 
 
 def cmd_channel_validate(args) -> int:
@@ -94,8 +97,12 @@ def cmd_forward(args, mode=None) -> int:
     mode = mode or args.mode
     if mode != "model" and not args.channel:
         raise formats.FormatError("oracle mode needs --channel")
-    model = _load_model_or_extract(args) if mode != "oracle" else None
-    ch = _load_channel(args.channel) if mode != "model" else None
+    # Without --model, the channel is read once and serves both routes.
+    model_file = getattr(args, "model", None)
+    ch = _load_channel(args.channel) if mode != "model" and not model_file else None
+    model = _load_model_or_extract(args, ch) if mode != "oracle" else None
+    if mode != "model" and ch is None:
+        ch = _load_channel(args.channel)
     if model is not None and ch is not None and model.dim != ch.dim:
         raise formats.FormatError(f"model has dimension {model.dim}, channel {ch.dim}")
     rho = formats.state_from_obj(formats.load_json_file(args.state), (ch or model).dim)
@@ -177,7 +184,7 @@ def cmd_paper_examples(args) -> int:
             float(np.max(np.abs(model.assignment - a_exp))),
             float(np.max(np.abs(model.coherence - c_exp))),
         )
-        ok = err <= 1e-12
+        ok = err <= ATOL_STRUCTURAL
         all_pass = all_pass and ok
         records.append(
             {
@@ -239,8 +246,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model")
     p.add_argument("--z", help="JSON file with an observed distribution {'z': [...]}")
     p.add_argument("--counts", help="JSON file with counts {'shots': S, 'counts': [...]}")
-    p.add_argument("--max-iters", type=int, default=5000)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--max-iters", type=int, default=solver.SolverOptions.max_iterations)
+    p.add_argument("--tol", type=float, default=solver.SolverOptions.residual_tol)
 
     add("paper-examples", cmd_paper_examples,
         "check the built-in noise zoo against its closed-form models")

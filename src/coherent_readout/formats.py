@@ -226,7 +226,11 @@ def model_from_obj(obj) -> ReadoutModel:
 
 
 def distribution_from_obj(obj, dim: int) -> np.ndarray:
-    """Observed distribution from a {'z': [...]} or {'shots','counts'} object."""
+    """Observed distribution from a {'z': [...]} or {'counts': [...]} object.
+
+    'shots' is optional next to 'counts'; where given, it must be a JSON
+    integer equal to their sum.
+    """
     if not isinstance(obj, dict):
         raise FormatError("distribution spec must be a JSON object")
     if "z" in obj:
@@ -235,9 +239,14 @@ def distribution_from_obj(obj, dim: int) -> np.ndarray:
         arr = _numbers(obj["counts"], "'counts'", (dim,))
         if np.any(arr < 0):
             raise FormatError("counts must be non-negative")
-        total = arr.sum()
+        total = float(arr.sum())
         if total <= 0:
             raise FormatError("counts must not all be zero")
+        shots = obj.get("shots")
+        if "shots" in obj and not (_is_int_in_range(shots, math.inf) and shots == total):
+            raise FormatError(
+                f"'shots' must be a JSON integer equal to the sum of the counts, {total:.17g}"
+            )
         return arr / total
     raise FormatError("distribution spec needs either 'z' or 'counts'")
 

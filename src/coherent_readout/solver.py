@@ -3,23 +3,20 @@
 The mitigation problem is underdetermined: one observed distribution z
 (N numbers) against N^2 state coordinates v = [x; y]. Rather than picking a
 pseudoinverse solution, the solver minimises 0.5 * ||z - B v||^2 with
-B = [A C] over the set of coordinates whose reconstructed matrix is a valid
-density matrix, projecting every step back onto that set. That projection
-is Euclidean in the Frobenius norm of the matrix, ||rho||_F^2 = v^T D v with
-D = 1 on populations and 2 on coherences (each coherence pair appears twice
-in rho), so the gradient step is taken in the same metric:
-p - s D^{-1} B^T (B p - z), with s = 1 / ||B D^{-1/2}||_2^2, the inverse of
-the largest eigenvalue of the N x N Gram matrix G = B D^{-1} B^T, whose
-entries are G_kl = Tr(F_k F_l). That eigenvalue is computed only when the
-loop runs: a start that already meets the tolerance takes no step.
+B = [A C] over the coordinates of density matrices, projecting every step
+back onto that set in the Frobenius norm. Row k of P = [A, C/2] holds the
+coordinates of the POVM element F_k, so P^T r is the gradient
+sum_k r_k F_k, the step is v - s P^T (B v - z), and s is the inverse of the
+largest eigenvalue of the Gram matrix G = P B^T, G_kl = Tr(F_k F_l), which
+is computed only when a step is taken.
 
-The descent starts from the density matrix nearest the minimum-norm
-solution v* = v_I + D^{-1} B^T mu, G mu = z - B v_I: of all matrices that
-explain z exactly, v* is the one nearest the maximally mixed state v_I.
-That is the spectral projection of a linear-inversion estimate (Smolin,
-Gambetta & Smith, PRL 108, 070502, 2012). When v* is itself a state,
-consistent data are solved in closed form, and the answer is the
-consistent state nearest I/N, the least pure one.
+The descent starts from the density matrix nearest v* = P^T mu =
+sum_k mu_k F_k, with mu the minimum-norm solution of G mu = z: of all
+matrices that best explain z, v* is the one nearest 0 and, as
+I = sum_k F_k, nearest I/N. That is the spectral projection of a
+linear-inversion estimate (Smolin, Gambetta & Smith, PRL 108, 070502,
+2012). When v* is a state, consistent data are solved in closed form, by
+the consistent state nearest I/N, the least pure one.
 
 The steps are accelerated with FISTA momentum (Beck & Teboulle, SIAM J.
 Imaging Sci. 2, 183, 2009) and made monotone by a function-value restart
@@ -33,7 +30,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -117,16 +113,13 @@ def project_to_density_set(x, y) -> tuple[np.ndarray, np.ndarray]:
     Reconstructs the Hermitian matrix and projects its spectrum onto the
     probability simplex, which clips negative eigenvalues to zero and
     restores unit trace in one shifted-threshold step. That makes the map
-    the metric projection onto the density set, which the gradient descent
-    in mitigate() needs: a plain trace rescale after clipping can cancel a
-    gradient step exactly (whenever the step is parallel to the iterate)
-    and park the solver at a non-optimal point. A matrix whose largest
-    eigenvalue is negative raises; the zero matrix maps to I/N.
+    the metric projection onto the density set for every Hermitian matrix,
+    which the gradient descent in mitigate() needs: a plain trace rescale
+    after clipping can cancel a gradient step exactly (whenever the step is
+    parallel to the iterate) and park the solver at a non-optimal point.
+    The zero matrix maps to I/N, diag(-1, -2) to |0><0|.
     """
-    m = assemble_matrix(x, y)
-    w, v = np.linalg.eigh(m)
-    if w.max() < 0.0:
-        raise ValueError("projection degenerate: no positive eigenvalue mass")
+    w, v = np.linalg.eigh(assemble_matrix(x, y))
     w = project_to_simplex(w)
     return split_matrix((v * w) @ v.conj().T)
 
@@ -136,16 +129,6 @@ def _largest_eigenvalue(g: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(g)[-1])
 
 
-@lru_cache(maxsize=None)
-def _metric(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """D^-1 and the coordinates v_I of I/N at dimension n; read-only, shared."""
-    d_inv = np.concatenate([np.ones(n), np.full(n * (n - 1), 0.5)])
-    v_mixed = np.concatenate([np.full(n, 1.0 / n), np.zeros(n * (n - 1))])
-    d_inv.flags.writeable = False
-    v_mixed.flags.writeable = False
-    return d_inv, v_mixed
-
-
 def _residual(b: np.ndarray, v: np.ndarray, z: np.ndarray) -> float:
     """||z - B v||, inf where its square overflows; the caller judges that, so no warning."""
     r = z - b @ v
@@ -153,35 +136,28 @@ def _residual(b: np.ndarray, v: np.ndarray, z: np.ndarray) -> float:
         return float(np.sqrt(r @ r))
 
 
-def _start(b: np.ndarray, gram: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """The density matrix nearest the consistent matrix nearest I/N, else I/N.
+def _start(p: np.ndarray, gram: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """The density matrix nearest v* = sum_k mu_k F_k, else I/N.
 
-    v* = v_I + D^-1 B^T mu with G mu = z - B v_I (minimum-norm mu) is the
-    Frobenius projection of I/N onto {rho : Tr(F_k rho) = z_k}. Its
-    projection onto the density set is v* itself when v* is a state. Where
-    v* is not finite or has no positive eigenvalue, the start is I/N.
+    With mu the minimum-norm solution of G mu = z, v* = P^T mu is the
+    matrix nearest 0 and I/N among those that best explain z (module
+    docstring); it is its own projection when it is a state. Where v* is
+    not finite, the start is I/N.
     """
     n = z.size
-    d_inv, v_mixed = _metric(n)
     with np.errstate(over="ignore", invalid="ignore"):  # judged by the finiteness test
-        mu = np.linalg.lstsq(gram, z - b @ v_mixed, rcond=None)[0]
-        v_star = v_mixed + d_inv * (b.T @ mu)
+        v_star = p.T @ np.linalg.lstsq(gram, z, rcond=None)[0]
     if not np.isfinite(v_star).all():
-        return v_mixed
-    try:
-        return np.concatenate(project_to_density_set(v_star[:n], v_star[n:]))
-    except ValueError:  # projection degenerate
-        return v_mixed
+        return np.concatenate([np.full(n, 1.0 / n), np.zeros(n * (n - 1))])
+    return np.concatenate(project_to_density_set(v_star[:n], v_star[n:]))
 
 
 def mitigate(problem: MitigationProblem, options: SolverOptions | None = None) -> MitigationResult:
     """Monotone FISTA on 0.5 ||z - B v||^2 over valid states.
 
-    Starts from the projection onto the density set of v*, the matrix
-    nearest I/N among those that explain z exactly (module docstring). When
-    v* is a state it is returned after 0 iterations, so consistent data give
-    the consistent state nearest I/N, the least pure one. Where v* is not
-    finite or has no positive eigenvalue, the start is I/N (x = 1/N, y = 0).
+    Starts from the density matrix nearest v* = sum_k mu_k F_k (module
+    docstring), or from I/N (x = 1/N, y = 0) where v* is not finite. For
+    consistent data v* is most often a state, returned after 0 iterations.
     The step size, 1 / lambda_max of the Gram matrix, is computed only when
     the start misses residual_tol and the loop runs.
     Each iteration extrapolates a point from the last two accepted iterates,
@@ -201,10 +177,10 @@ def mitigate(problem: MitigationProblem, options: SolverOptions | None = None) -
     z = problem.z_observed
     n = model.dim
     b = assemble_b(model)
-    d_inv = _metric(n)[0]
-    gram = (b * d_inv) @ b.T
+    p = np.concatenate([model.assignment, model.coherence / 2.0], axis=1)
+    gram = p @ b.T
 
-    v = _start(b, gram, z)
+    v = _start(p, gram, z)
     v_prev = v
     t = 1.0
     residual = _residual(b, v, z)
@@ -225,7 +201,7 @@ def mitigate(problem: MitigationProblem, options: SolverOptions | None = None) -
     while not converged and iterations < opts.max_iterations:
         t_next = (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
         point = v + ((t - 1.0) / t_next) * (v - v_prev)
-        trial = point - step * d_inv * (b.T @ (b @ point - z))
+        trial = point - step * (p.T @ (b @ point - z))
         x_new, y_new = project_to_density_set(trial[:n], trial[n:])
         v_new = np.concatenate([x_new, y_new])
         iterations += 1

@@ -11,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from coherent_readout import cli, povm
+from coherent_readout import cli, formats, povm
 from coherent_readout.channels import random_channel, rotation_y
 from coherent_readout.cli import main
 from coherent_readout.formats import channel_to_obj, model_from_obj
@@ -221,6 +221,22 @@ def test_forward_both_mode_agrees(capsys, write_json):
     assert abs(doc["z_model"][0] - (0.5 + 0.5 * np.sin(0.3))) < 1e-12
 
 
+def test_forward_both_mode_reads_the_channel_once(capsys, write_json, monkeypatch):
+    calls = []
+    original = formats.channel_from_obj
+
+    def counting(obj):
+        calls.append(1)
+        return original(obj)
+
+    monkeypatch.setattr(formats, "channel_from_obj", counting)
+    ch = write_json("ch.json", ROTATION)
+    st = write_json("state.json", PLUS_STATE)
+    code, doc = run(capsys, "forward", "--channel", ch, "--state", st, "--mode", "both")
+    assert code == 0 and doc["max_discrepancy"] <= 1e-11
+    assert len(calls) == 1
+
+
 def test_forward_accepts_coordinate_states(capsys, write_json):
     ch = write_json("ch.json", ROTATION)
     st = write_json("state.json", {"x": [0.5, 0.5], "y": [0.5, 0.0]})
@@ -305,6 +321,17 @@ def test_mitigate_from_counts(capsys, write_json):
     code, doc = run(capsys, "mitigate", "--channel", ch, "--counts", counts)
     assert code == 0
     assert np.max(np.abs(np.array(doc["x"]) - [0.0, 1.0])) < 1e-6
+
+
+def test_mitigate_data_no_state_explains(capsys, write_json):
+    # v* for z = [-1, 0] is negative definite; its projection is still the
+    # best fit, |1><1|.
+    ch = write_json("ch.json", AMP_DAMP)
+    z = write_json("z.json", {"z": [-1, 0]})
+    code, doc = run(capsys, "mitigate", "--channel", ch, "--z", z)
+    assert code == 0
+    assert np.max(np.abs(np.array(doc["x"]) - [0.0, 1.0])) < 1e-12
+    assert abs(doc["residual"] - np.sqrt(1.3**2 + 0.7**2)) < 1e-12
 
 
 def test_mitigate_huge_distribution_ends_without_traceback(capsys, write_json):
@@ -453,10 +480,16 @@ TWO_QUBIT_MODEL = {"A": np.eye(4).tolist(), "C": np.zeros((4, 12)).tolist()}
         (["sample", "--channel", "ch", "--state", "state", "--shots", "10"], {"state": TWO_QUBIT_STATE}),
         (["forward", "--mode", "both", "--model", "model", "--channel", "ch", "--state", "state"],
          {"model": TWO_QUBIT_MODEL, "state": TWO_QUBIT_STATE}),
+        (["mitigate", "--channel", "ch", "--counts", "counts"], {"counts": {"shots": "many", "counts": [3, 1]}}),
+        (["mitigate", "--channel", "ch", "--counts", "counts"], {"counts": {"shots": 7, "counts": [3, 1]}}),
+        (["mitigate", "--channel", "ch", "--counts", "counts"], {"counts": {"shots": True, "counts": [1, 0]}}),
+        (["mitigate", "--channel", "ch", "--counts", "counts"], {"counts": {"shots": 4.0, "counts": [3, 1]}}),
+        (["mitigate", "--channel", "ch", "--counts", "counts"], {"counts": {"shots": None, "counts": [3, 1]}}),
     ],
     ids=["short-y", "empty-x", "wrong-C-shape", "non-square-A", "negative-seed",
          "state-vs-channel", "state-vs-model", "model-vs-state", "oracle-state-vs-channel",
-         "sample-state-vs-channel", "model-vs-channel"],
+         "sample-state-vs-channel", "model-vs-channel", "shots-string", "shots-not-the-sum",
+         "shots-boolean", "shots-float", "shots-null"],
 )
 def test_schema_violation_is_usage_error(capsys, write_json, argv, docs):
     docs = {"ch": AMP_DAMP, "state": GROUND_STATE, **docs}
@@ -496,6 +529,7 @@ NUMBER_FIELDS = {
     "C": (["forward", "--model", "model", "--state", "state"], {}, ("model", "C", 1, 0)),
     "z": (["mitigate", "--model", "model", "--z", "z"], {}, ("z", "z", 0)),
     "counts": (["mitigate", "--model", "model", "--counts", "counts"], {}, ("counts", "counts", 1)),
+    "shots": (["mitigate", "--model", "model", "--counts", "counts"], {}, ("counts", "shots")),
     "gamma": (["channel-validate", "--channel", "ch"], {}, ("ch", "params", "gamma")),
     "lambda": (["channel-validate", "--channel", "ch"],
                {"ch": {"builtin": "dephasing", "params": {"lambda": 0.5}}}, ("ch", "params", "lambda")),

@@ -85,12 +85,12 @@ def mutate(doc, path, mutation, value):
 
 
 def number_paths(doc):
-    """Paths to the numbers of a document that a command reads ('shots' is not read)."""
+    """Paths to the numbers of a document that a command reads."""
     for path in paths(doc):
         node = doc
         for key in path:
             node = node[key]
-        if type(node) in (int, float) and "shots" not in path:
+        if type(node) in (int, float):
             yield path
 
 

@@ -14,13 +14,13 @@ from coherent_readout.channels import (
     tensor,
 )
 from coherent_readout.povm import effective_povm
-from coherent_readout.readout import ReadoutModel, extract, forward
+from coherent_readout.readout import ReadoutModel, closed_form_zoo, extract, forward
 from coherent_readout.solver import (
     MitigationProblem,
     MitigationResult,
     SolverOptions,
     _largest_eigenvalue,
-    _metric,
+    _start,
     assemble_b,
     classical_invert,
     mitigate,
@@ -202,9 +202,14 @@ def test_density_projection_is_idempotent_and_valid(seed):
     assert np.max(np.abs(y2 - y1)) < 1e-12
 
 
-def test_density_projection_rejects_negative_definite_input():
-    with pytest.raises(ValueError, match="degenerate"):
-        project_to_density_set(np.array([-0.5, -0.5]), np.zeros(2))
+def test_density_projection_of_negative_definite_input():
+    # The simplex projection of the spectrum is the Euclidean projection onto
+    # the density set for every Hermitian matrix, negative definite included.
+    for x, expected in [([-1.0, -2.0], [1.0, 0.0]), ([-0.5, -0.5], [0.5, 0.5]),
+                        ([-3.0, -1e-300], [0.0, 1.0])]:
+        x1, y1 = project_to_density_set(np.array(x), np.zeros(2))
+        assert np.max(np.abs(x1 - expected)) <= 1e-15
+        assert np.max(np.abs(y1)) <= 1e-15
 
 
 def test_density_projection_of_the_zero_matrix_is_maximally_mixed():
@@ -379,14 +384,23 @@ def test_step_size_is_computed_only_when_the_loop_runs(monkeypatch, problem, loo
     assert len(calls) == int(loop_runs)
 
 
-def test_cached_metric_vectors_are_read_only():
-    d_inv, v_mixed = _metric(4)
-    assert _metric(4)[0] is d_inv
-    assert np.array_equal(d_inv, [1.0] * 4 + [0.5] * 12)
-    assert np.array_equal(v_mixed, [0.25] * 4 + [0.0] * 12)
-    for a in (d_inv, v_mixed):
-        with pytest.raises(ValueError, match="read-only"):
-            a[0] = 2.0
+@pytest.mark.parametrize("ch", [rotation_y(0.7), random_channel(4, 3, seed=66)])
+def test_start_is_the_least_norm_combination_of_povm_elements(ch):
+    # v* = sum_k mu_k F_k with sum_l Tr(F_k F_l) mu_l = z_k (minimum-norm mu),
+    # computed here from the POVM elements rather than coordinates; for z
+    # that no state explains, the start is the density matrix nearest v*.
+    f = effective_povm(ch).elements
+    n = ch.dim
+    z = np.random.default_rng(n).uniform(-2.0, 2.0, n)
+    gram = np.einsum("kij,lji->kl", f, f).real
+    v_star = np.einsum("k,kij->ij", np.linalg.lstsq(gram, z, rcond=None)[0], f)
+    w, u = np.linalg.eigh(v_star)
+    expected = (u * project_to_simplex(w)) @ u.conj().T
+
+    model = model_of(ch)
+    p = np.concatenate([model.assignment, model.coherence / 2.0], axis=1)
+    v = _start(p, p @ assemble_b(model).T, z)
+    assert np.max(np.abs(assemble_matrix(v[:n], v[n:]) - expected)) <= 1e-12
 
 
 @pytest.mark.parametrize(
@@ -401,23 +415,53 @@ def test_step_size_is_the_squared_spectral_norm(ch):
     assert abs(_largest_eigenvalue((b * d_inv) @ b.T) - svd_value) <= 1e-12 * svd_value
 
 
-def test_degenerate_start_falls_back_to_the_maximally_mixed_state():
-    # z = [0, 0] is explained only by the zero matrix, up to roundoff that
-    # leaves it negative definite: projecting it would raise, so the
-    # solver starts from I/2 and reaches the best fit, residual 1/sqrt(2).
+def test_zero_data_start_at_the_maximally_mixed_state():
+    # z = [0, 0] is explained only by the zero matrix: v* = 0 exactly, whose
+    # projection is I/2, and the solver reaches the best fit, residual 1/sqrt(2).
     model = model_of(amplitude_damping(0.3))
     z = np.zeros(2)
     b = assemble_b(model)
-    d_inv = np.array([1.0, 1.0, 0.5, 0.5])
-    v_mixed = np.array([0.5, 0.5, 0.0, 0.0])
-    mu = np.linalg.lstsq((b * d_inv) @ b.T, z - b @ v_mixed, rcond=None)[0]
-    v_star = v_mixed + d_inv * (b.T @ mu)
-    with pytest.raises(ValueError, match="projection degenerate"):
-        project_to_density_set(v_star[:2], v_star[2:])
+    p = np.concatenate([model.assignment, model.coherence / 2.0], axis=1)
+    gram = p @ b.T
+    assert np.array_equal(p.T @ np.linalg.lstsq(gram, z, rcond=None)[0], np.zeros(4))
+    assert np.array_equal(_start(p, gram, z), [0.5, 0.5, 0.0, 0.0])
 
     res = mitigate(MitigationProblem(model=model, z_observed=z))
     assert res.converged
     assert abs(res.residual - np.sqrt(0.5)) <= 1e-12
+
+
+TOTAL_CHANNELS = [(f"{name}-{param:.2f}", ch) for name, param, ch, _, _ in closed_form_zoo()] + [
+    (f"random-{2**q}-{seed}", random_channel(2**q, 2 + seed % 3, seed=seed))
+    for q in (1, 2, 3)
+    for seed in (70 + q, 80 + q, 90 + q)
+]
+
+
+def total_z(kind, n):
+    if kind == "all-minus-5":
+        return np.full(n, -5.0)
+    if kind == "minus-e0":
+        return -np.eye(n)[0]
+    if kind == "zeros":
+        return np.zeros(n)
+    if kind == "minus-1000":
+        return np.concatenate([[-1000.0], np.ones(n - 1)])
+    return np.random.default_rng(n).uniform(-2.0, 2.0, n)
+
+
+@pytest.mark.parametrize("kind", ["all-minus-5", "minus-e0", "zeros", "minus-1000", "random"])
+@pytest.mark.parametrize("ch", [c for _, c in TOTAL_CHANNELS], ids=[i for i, _ in TOTAL_CHANNELS])
+def test_every_finite_z_is_fitted_at_least_as_well_as_by_the_mixed_state(ch, kind):
+    # Data that no state explains, negative data included: the solver returns a
+    # state and never fits worse than I/N.
+    model = model_of(ch)
+    n = model.dim
+    z = total_z(kind, n)
+    res = mitigate(MitigationProblem(model=model, z_observed=z))
+    DensityMatrix(assemble_matrix(res.x_hat, res.y_hat))
+    mixed_residual = np.linalg.norm(z - model.assignment @ np.full(n, 1.0 / n))
+    assert res.residual <= mixed_residual + 1e-12
 
 
 def test_step_onto_the_zero_matrix_is_projected():
