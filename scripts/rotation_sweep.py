@@ -2,12 +2,15 @@
 
 For each angle the plus state is pushed through a y-rotation readout.
 The coherence term shifts the observed distribution by sin(t)/2, which an
-assignment-only inversion misreads as a population change; the constrained
-solver explains the same data with the true populations. Prints one table
-row per angle and optionally dumps the records as JSON. At t = pi/2 (in the
-grid whenever --steps is odd) the assignment matrix is singular, so the
-assignment-only inversion is undefined there: "singular" in the table,
-null in the JSON.
+assignment-only inversion misreads as a population change. The constrained
+solver explains the data exactly (residual 0), but one distribution of N
+outcomes does not fix the N^2 coordinates of a state: the populations it
+returns are one point of the set of states consistent with the data, not
+necessarily the true ones. Both population errors are printed, next to
+each other. Prints one table row per angle and optionally dumps the records
+as JSON. At t = pi/2 (in the grid whenever --steps is odd) the assignment
+matrix is singular, so the assignment-only inversion is undefined there:
+"singular" in the table, null in the JSON.
 """
 
 import argparse
@@ -40,6 +43,7 @@ def sweep(angles):
                 "nonclassicality": nonclassicality(model),
                 "z0": float(z[0]),
                 "classical_x_error": classical_error,
+                "mitigate_x_error": float(np.max(np.abs(res.x_hat - plus.populations))),
                 "mitigate_residual": res.residual,
                 "mitigate_iterations": res.iterations,
             }
@@ -58,13 +62,16 @@ def main(argv=None) -> int:
     angles = np.linspace(0.0, np.pi, args.steps + 2)[1:-1]
     records = sweep(angles)
 
-    print(f"{'theta':>8} {'nonclass':>10} {'z0':>10} {'classical err':>14} {'residual':>10} {'iters':>6}")
+    print(
+        f"{'theta':>8} {'nonclass':>10} {'z0':>10} {'classical err':>14} {'mitigate err':>13} "
+        f"{'residual':>10} {'iters':>6}"
+    )
     for r in records:
         err = r["classical_x_error"]
         classical = "singular" if err is None else f"{err:.6f}"
         print(
             f"{r['theta']:8.4f} {r['nonclassicality']:10.6f} {r['z0']:10.6f} "
-            f"{classical:>14} {r['mitigate_residual']:10.2e} "
+            f"{classical:>14} {r['mitigate_x_error']:13.6f} {r['mitigate_residual']:10.2e} "
             f"{r['mitigate_iterations']:6d}"
         )
 

@@ -1,9 +1,11 @@
 """Command-line front end.
 
-Every command reads JSON files, writes one JSON document to stdout
-(optionally mirrored to --out), and keeps human-readable diagnostics on
-stderr. Exit codes: 0 success, 1 domain failure (unphysical input,
-mismatched closed forms), 2 malformed input or usage error.
+Every command reads JSON files and returns one JSON document with its exit
+code; main writes the document to stdout (optionally mirrored to --out).
+Commands write only human-readable diagnostics, to stderr. Exit codes:
+0 success, 1 domain failure (unphysical input, mismatched closed forms),
+2 malformed input or usage error. The oracle command is forward with
+--mode oracle.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from .states import decompose
 _SAMPLE_DEFAULT_SEED = 0
 
 
-def _emit(obj, out_path=None) -> None:
+def _emit(obj, out_path) -> None:
     text = formats.dumps(obj)
     if out_path:
         try:
@@ -37,24 +39,23 @@ def _load_channel(path) -> channels.KrausChannel:
 
 def _load_model_or_extract(args, ch=None) -> readout.ReadoutModel:
     """The --model file's model, else the model of ch or of the --channel file."""
-    if getattr(args, "model", None):
+    if args.model:
         return formats.model_from_obj(formats.load_json_file(args.model))
-    if ch is None and getattr(args, "channel", None):
+    if ch is None and args.channel:
         ch = _load_channel(args.channel)
     if ch is None:
         raise formats.FormatError("need --model or --channel")
     return readout.extract(povm.effective_povm(ch))
 
 
-def cmd_channel_validate(args) -> int:
+def cmd_channel_validate(args) -> tuple[dict, int]:
     dim, ops = formats.channel_ops_from_obj(formats.load_json_file(args.channel))
     report = channels.validate_cptp(ops)
     result = {"dim": dim, "cptp_defect": report.defect, "cptp_pass": report.passed}
     if not report.passed:
         result["pass"] = False
         print(f"trace preservation violated: defect {report.defect:.3e}", file=sys.stderr)
-        _emit(result, args.out)
-        return 1
+        return result, 1
 
     ch = channels.KrausChannel(dim, ops)
     p = povm.effective_povm(ch)
@@ -70,7 +71,7 @@ def cmd_channel_validate(args) -> int:
             "kernel_diag_defect": kd,
             "povm_offdiag_defect": od,
             "C-classical": bool(kd <= ATOL_STRUCTURAL),
-            "povm": [formats.complex_matrix_to_pairs(e) for e in p.elements],
+            "povm": formats.complex_matrix_to_pairs(p.elements),
             "pass": check.passed,
         }
     )
@@ -79,27 +80,24 @@ def cmd_channel_validate(args) -> int:
         f"({herm:.3e}, {pos:.3e}, {comp:.3e}), kernel diag defect {kd:.3e}",
         file=sys.stderr,
     )
-    _emit(result, args.out)
-    return 0 if check.passed else 1
+    return result, 0 if check.passed else 1
 
 
-def cmd_model_extract(args) -> int:
+def cmd_model_extract(args) -> tuple[dict, int]:
     ch = _load_channel(args.channel)
     model = readout.extract(povm.effective_povm(ch))
     obj = formats.model_to_obj(model)
     obj["nonclassicality_max"] = readout.nonclassicality(model, "max")
     obj["nonclassicality_frobenius"] = readout.nonclassicality(model, "frobenius")
-    _emit(obj, args.out)
-    return 0
+    return obj, 0
 
 
-def cmd_forward(args, mode=None) -> int:
-    mode = mode or args.mode
+def cmd_forward(args) -> tuple[dict, int]:
+    mode = args.mode
     if mode != "model" and not args.channel:
         raise formats.FormatError("oracle mode needs --channel")
     # Without --model, the channel is read once and serves both routes.
-    model_file = getattr(args, "model", None)
-    ch = _load_channel(args.channel) if mode != "model" and not model_file else None
+    ch = _load_channel(args.channel) if mode != "model" and not args.model else None
     model = _load_model_or_extract(args, ch) if mode != "oracle" else None
     if mode != "model" and ch is None:
         ch = _load_channel(args.channel)
@@ -109,21 +107,16 @@ def cmd_forward(args, mode=None) -> int:
     out: dict = {}
     if model is not None:
         z_model = readout.forward(model, decompose(rho))
-        out["z_model" if mode == "both" else "z"] = [float(v) for v in z_model]
+        out["z_model" if mode == "both" else "z"] = z_model.tolist()
     if ch is not None:
         z_oracle = readout.oracle_probabilities(ch, rho)
-        out["z_oracle" if mode == "both" else "z"] = [float(v) for v in z_oracle]
+        out["z_oracle" if mode == "both" else "z"] = z_oracle.tolist()
     if mode == "both":
         out["max_discrepancy"] = float(np.max(np.abs(z_model - z_oracle)))
-    _emit(out, args.out)
-    return 0
+    return out, 0
 
 
-def cmd_oracle(args) -> int:
-    return cmd_forward(args, mode="oracle")
-
-
-def cmd_sample(args) -> int:
+def cmd_sample(args) -> tuple[dict, int]:
     if args.shots < 1:
         raise formats.FormatError("--shots must be >= 1")
     if args.seed < 0:
@@ -137,14 +130,10 @@ def cmd_sample(args) -> int:
     z = z / z.sum()
     rng = np.random.default_rng(args.seed)
     counts = rng.multinomial(args.shots, z)
-    _emit(
-        {"shots": args.shots, "seed": args.seed, "counts": [int(c) for c in counts]},
-        args.out,
-    )
-    return 0
+    return {"shots": args.shots, "seed": args.seed, "counts": counts.tolist()}, 0
 
 
-def cmd_mitigate(args) -> int:
+def cmd_mitigate(args) -> tuple[dict, int]:
     try:
         options = solver.SolverOptions(max_iterations=args.max_iters, residual_tol=args.tol)
     except ValueError as exc:
@@ -162,20 +151,16 @@ def cmd_mitigate(args) -> int:
         f"(converged: {result.converged})",
         file=sys.stderr,
     )
-    _emit(
-        {
-            "x": [float(v) for v in result.x_hat],
-            "y": [float(v) for v in result.y_hat],
-            "residual": result.residual,
-            "iterations": result.iterations,
-            "converged": result.converged,
-        },
-        args.out,
-    )
-    return 0
+    return {
+        "x": result.x_hat.tolist(),
+        "y": result.y_hat.tolist(),
+        "residual": result.residual,
+        "iterations": result.iterations,
+        "converged": result.converged,
+    }, 0
 
 
-def cmd_paper_examples(args) -> int:
+def cmd_paper_examples(args) -> tuple[dict, int]:
     records = []
     all_pass = True
     for name, parameter, ch, a_exp, c_exp in readout.closed_form_zoo():
@@ -190,18 +175,17 @@ def cmd_paper_examples(args) -> int:
             {
                 "name": name,
                 "parameter": parameter,
-                "A": [[float(v) for v in row] for row in model.assignment],
-                "A_closed_form": [[float(v) for v in row] for row in a_exp],
-                "C": [[float(v) for v in row] for row in model.coherence],
-                "C_closed_form": [[float(v) for v in row] for row in c_exp],
+                "A": model.assignment.tolist(),
+                "A_closed_form": a_exp.tolist(),
+                "C": model.coherence.tolist(),
+                "C_closed_form": c_exp.tolist(),
                 "max_error": err,
                 "pass": ok,
             }
         )
         print(f"{name}({parameter:g}): max error {err:.3e} ({'ok' if ok else 'MISMATCH'})",
               file=sys.stderr)
-    _emit({"examples": records, "pass": all_pass}, args.out)
-    return 0 if all_pass else 1
+    return {"examples": records, "pass": all_pass}, 0 if all_pass else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -231,7 +215,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--state", required=True)
     p.add_argument("--mode", choices=["model", "oracle", "both"], default="model")
 
-    p = add("oracle", cmd_oracle, "predict via the full superoperator route")
+    p = add("oracle", cmd_forward, "predict via the full superoperator route")
+    p.set_defaults(mode="oracle", model=None)
     p.add_argument("--channel", required=True)
     p.add_argument("--state", required=True)
 
@@ -264,7 +249,9 @@ def main(argv=None) -> int:
     try:
         # Overflow is judged by the validators; numpy's warnings would only add stderr lines.
         with np.errstate(all="ignore"):
-            return args.func(args)
+            document, code = args.func(args)
+            _emit(document, args.out)
+            return code
     except formats.FormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -43,8 +43,9 @@ class FormatError(ValueError):
 
 
 def complex_matrix_to_pairs(m) -> list:
-    a = np.asarray(m, dtype=complex)
-    return [[float(v.real), float(v.imag)] for v in a.reshape(-1, order="C")]
+    """[re, im] pairs of an N x N matrix, or a list of them per matrix of a stack."""
+    a = np.ascontiguousarray(m, dtype=complex)
+    return a.view(float).reshape(a.shape[:-2] + (-1, 2)).tolist()
 
 
 def complex_matrix_from_pairs(entries, dim: int, name: str = "matrix") -> np.ndarray:
@@ -173,7 +174,7 @@ def channel_from_obj(obj) -> _channels.KrausChannel:
 
 
 def channel_to_obj(ch: _channels.KrausChannel) -> dict:
-    return {"dim": ch.dim, "kraus": [complex_matrix_to_pairs(op) for op in ch.kraus_ops]}
+    return {"dim": ch.dim, "kraus": complex_matrix_to_pairs(ch.kraus_ops)}
 
 
 def state_from_obj(obj, dim: int | None = None) -> DensityMatrix:
@@ -201,8 +202,8 @@ def model_to_obj(model: ReadoutModel) -> dict:
     n_qubits = model.dim.bit_length() - 1
     if 2**n_qubits == model.dim:
         obj["n"] = n_qubits
-    obj["A"] = [[float(v) for v in row] for row in model.assignment]
-    obj["C"] = [[float(v) for v in row] for row in model.coherence]
+    obj["A"] = model.assignment.tolist()
+    obj["C"] = model.coherence.tolist()
     obj["column_order"] = COLUMN_ORDER
     return obj
 
@@ -260,14 +261,15 @@ def load_json_file(path) -> object:
 
     Overflowing literals such as 1e999 still parse to inf, so _numbers
     checks finiteness again after parsing. Nesting deeper than the
-    decoder's recursion limit is invalid JSON here too.
+    decoder's recursion limit is invalid JSON here too, and so is an integer
+    literal beyond Python's limit on integer digits (a plain ValueError).
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh, parse_constant=_reject_constant)
     except OSError as exc:
         raise FormatError(f"cannot open {path}: {exc.strerror or exc}") from None
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError, FormatError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise FormatError(f"invalid JSON in {path}: {exc}") from None
 
 

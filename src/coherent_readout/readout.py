@@ -23,7 +23,7 @@ import numpy as np
 from .channels import KrausChannel, amplitude_damping, dephasing, rotation_y, superoperator
 from .linalg import ATOL_PHYSICAL, ATOL_STRUCTURAL, unvec, vec
 from .povm import Povm
-from .states import DensityMatrix, StateDecomposition, assemble_matrix, pack_coherences
+from .states import DensityMatrix, StateDecomposition, _hold, assemble_matrix, pack_coherences
 
 
 @dataclass(frozen=True)
@@ -35,14 +35,15 @@ class ReadoutModel:
     pair is accepted only if the F_k rebuilt from them form a Povm, so that
     z = A x + C y is a probability distribution for every state; extract
     reads the pair off a Povm that already passed, and skips that check.
+    Both are held as read-only copies.
     """
 
     assignment: np.ndarray
     coherence: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.assignment, dtype=float)
-        c = np.asarray(self.coherence, dtype=float)
+        a = np.array(self.assignment, dtype=float)
+        c = np.array(self.coherence, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"assignment matrix must be square, got shape {a.shape}")
         n = a.shape[0]
@@ -51,8 +52,7 @@ class ReadoutModel:
                 f"coherence response must have shape ({n}, {n * (n - 1)}), got {c.shape}"
             )
         Povm(n, assemble_matrix(a, c / 2.0))
-        object.__setattr__(self, "assignment", a)
-        object.__setattr__(self, "coherence", c)
+        _hold(self, assignment=a, coherence=c)
 
     @property
     def dim(self) -> int:
@@ -70,10 +70,8 @@ def extract(p: Povm) -> ReadoutModel:
     bad = np.flatnonzero(np.max(np.abs(diag.imag), axis=1) > ATOL_STRUCTURAL)
     if bad.size:
         raise ValueError(f"POVM element {bad[0]} has non-real diagonal")
-    model = object.__new__(ReadoutModel)
-    object.__setattr__(model, "assignment", diag.real.copy())
-    object.__setattr__(model, "coherence", 2.0 * pack_coherences(p.elements))
-    return model
+    coherence = 2.0 * pack_coherences(p.elements)
+    return _hold(object.__new__(ReadoutModel), assignment=diag.real.copy(), coherence=coherence)
 
 
 def forward(model: ReadoutModel, decomp: StateDecomposition) -> np.ndarray:

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .readout import ReadoutModel
-from .states import assemble_matrix, split_matrix
+from .states import _hold, assemble_matrix, split_matrix
 
 _DISPLACEMENT_TOL = 1e-12
 _SINGULAR_TOL = 1e-12
@@ -58,14 +58,14 @@ class MitigationProblem:
     z_observed: np.ndarray
 
     def __post_init__(self):
-        z = np.asarray(self.z_observed, dtype=float)
+        z = np.array(self.z_observed, dtype=float)
         if z.shape != (self.model.dim,):
             raise ValueError(
                 f"observed distribution must have shape ({self.model.dim},), got {z.shape}"
             )
         if not np.isfinite(z).all():
             raise ValueError("observed distribution contains non-finite entries")
-        object.__setattr__(self, "z_observed", z)
+        _hold(self, z_observed=z)
 
 
 @dataclass(frozen=True)

@@ -50,15 +50,27 @@ def pack_coherences(m) -> np.ndarray:
     return np.ascontiguousarray(flat[..., upper]).view(float)
 
 
+def _hold(obj, **arrays):
+    """obj, a frozen dataclass, with each array (its own, not a caller's) as a read-only field.
+
+    Given object.__new__(cls), it builds a cls from values derived from an
+    object that already passed validation, without repeating it.
+    """
+    for name, a in arrays.items():
+        a.flags.writeable = False
+        object.__setattr__(obj, name, a)
+    return obj
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Validated quantum state: Hermitian, unit trace, positive semidefinite."""
+    """Validated quantum state: Hermitian, unit trace, positive semidefinite; a read-only copy."""
 
     matrix: np.ndarray
 
     def __post_init__(self):
-        a = as_square_array(self.matrix, name="density matrix")
-        object.__setattr__(self, "matrix", a)
+        a = as_square_array(self.matrix, name="density matrix").copy()
+        _hold(self, matrix=a)
         if not np.isfinite(a).all():
             raise ValueError("density matrix contains non-finite entries")
         hermiticity, w_min = hermiticity_and_min_eigenvalue(a)
@@ -77,14 +89,17 @@ class DensityMatrix:
 
 @dataclass(frozen=True)
 class StateDecomposition:
-    """Real coordinates of a state: populations x and packed coherences y."""
+    """Real coordinates of a state: populations x and packed coherences y.
+
+    Held as read-only copies, and accepted only if they encode a DensityMatrix.
+    """
 
     populations: np.ndarray
     coherences: np.ndarray
 
     def __post_init__(self):
-        x = np.asarray(self.populations, dtype=float)
-        y = np.asarray(self.coherences, dtype=float)
+        x = np.array(self.populations, dtype=float)
+        y = np.array(self.coherences, dtype=float)
         if x.ndim != 1 or x.size == 0:
             raise ValueError("populations must be a non-empty 1-d real vector")
         n = x.size
@@ -92,14 +107,8 @@ class StateDecomposition:
             raise ValueError(
                 f"coherence vector must have length N(N-1) = {n * (n - 1)}, got {y.size}"
             )
-        if not (np.isfinite(x).all() and np.isfinite(y).all()):
-            raise ValueError("state coordinates contain non-finite entries")
-        if abs(x.sum() - 1.0) > ATOL_PHYSICAL:
-            raise ValueError(f"populations must sum to 1, got {x.sum()!r}")
-        if x.min() < -ATOL_PHYSICAL:
-            raise ValueError(f"negative population {x.min():.3e}")
-        object.__setattr__(self, "populations", x)
-        object.__setattr__(self, "coherences", y)
+        DensityMatrix(assemble_matrix(x, y))
+        _hold(self, populations=x, coherences=y)
 
     @property
     def dim(self) -> int:
@@ -137,7 +146,7 @@ def decompose(rho) -> StateDecomposition:
     if not isinstance(rho, DensityMatrix):
         rho = DensityMatrix(rho)
     x, y = split_matrix(rho.matrix)
-    return StateDecomposition(populations=x, coherences=y)
+    return _hold(object.__new__(StateDecomposition), populations=x, coherences=y)
 
 
 def reconstruct(decomp: StateDecomposition) -> np.ndarray:

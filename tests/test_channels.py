@@ -6,7 +6,9 @@ from hypothesis import strategies as st
 from conftest import random_hermitian
 from coherent_readout import channels
 from coherent_readout.linalg import unvec, vec
-from coherent_readout.states import random_density
+from coherent_readout.readout import ReadoutModel
+from coherent_readout.solver import MitigationProblem
+from coherent_readout.states import DensityMatrix, StateDecomposition, random_density
 
 
 def test_validate_identity_is_exact():
@@ -72,6 +74,34 @@ def test_channel_holds_a_read_only_copy():
     assert np.array_equal(ch.kraus_ops, channels.amplitude_damping(0.3).kraus_ops)
     with pytest.raises(ValueError, match="read-only"):
         ch.kraus_ops[0][0, 0] = 2.0
+
+
+def damping_model():
+    return ReadoutModel(np.array([[1.0, 0.3], [0.0, 0.7]]), np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: (DensityMatrix, {"matrix": np.eye(2, dtype=complex) / 2}),
+        lambda: (StateDecomposition, {"populations": np.array([0.5, 0.5]), "coherences": np.zeros(2)}),
+        lambda: (ReadoutModel, {"assignment": np.array([[1.0, 0.3], [0.0, 0.7]]), "coherence": np.zeros((2, 2))}),
+        lambda: (MitigationProblem, {"model": damping_model(), "z_observed": np.array([0.5, 0.5])}),
+    ],
+    ids=["DensityMatrix", "StateDecomposition", "ReadoutModel", "MitigationProblem"],
+)
+def test_validated_values_hold_read_only_copies(build):
+    cls, fields = build()
+    value = cls(**fields)
+    for name, given in fields.items():
+        if not isinstance(given, np.ndarray):
+            continue
+        expected = given.copy()
+        given[0] = 5.0
+        held = getattr(value, name)
+        assert np.array_equal(held, expected)
+        with pytest.raises(ValueError, match="read-only"):
+            held[0] = 5.0
 
 
 def test_apply_identity():

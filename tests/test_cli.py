@@ -622,6 +622,8 @@ def test_nan_model_is_usage_error_on_one_line(capsys, write_json):
                      id="kraus-huge-int"),
         pytest.param("--channel", '{"builtin": "amplitude_damping", "params": {"gamma": %s}}' % HUGE_INT,
                      id="gamma-huge-int"),
+        # Longer than Python's limit on integer digits (4300 by default): a plain ValueError.
+        pytest.param("--z", '{"z": [%s, 0]}' % ("1" + "0" * 4999), id="z-5000-digit-int"),
     ],
 )
 def test_overflowing_number_is_usage_error(capsys, tmp_path, write_json, flag, text):

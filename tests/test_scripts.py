@@ -30,3 +30,13 @@ def test_rotation_sweep_json_marks_the_singular_angle(capsys, tmp_path):
     records = json.loads(out.read_text())
     assert [r["classical_x_error"] is None for r in records] == [False, True, False]
     assert all(r["mitigate_residual"] <= 1e-9 for r in records)
+
+
+def test_rotation_sweep_reports_both_population_errors():
+    # Both routes miss the true populations of |+>: the classical inversion
+    # misreads the coherence, and the solver's exact fit is one point of the
+    # consistent set, not the generating state.
+    (record,) = load_script("rotation_sweep").sweep([0.5])
+    assert record["mitigate_residual"] <= 1e-9
+    assert record["mitigate_x_error"] == pytest.approx(0.2104, abs=1e-3)
+    assert record["classical_x_error"] == pytest.approx(0.2732, abs=1e-3)

@@ -176,12 +176,34 @@ def test_decompose_rejects_unphysical():
 
 
 def test_state_decomposition_validation():
-    with pytest.raises(ValueError, match="sum to 1"):
+    with pytest.raises(ValueError, match="trace"):
         StateDecomposition(np.array([0.6, 0.6]), np.zeros(2))
-    with pytest.raises(ValueError, match="negative population"):
+    with pytest.raises(ValueError, match="negative eigenvalue"):
         StateDecomposition(np.array([1.2, -0.2]), np.zeros(2))
     with pytest.raises(ValueError, match="N\\(N-1\\)"):
         StateDecomposition(np.array([0.5, 0.5]), np.zeros(3))
+    # Populations of a state, but the matrix they encode with y has eigenvalue -4.5.
+    with pytest.raises(ValueError, match="negative eigenvalue"):
+        StateDecomposition(np.array([0.5, 0.5]), np.array([5.0, 0.0]))
+
+
+def test_decompose_runs_one_eigensolve(monkeypatch):
+    calls = []
+    original = np.linalg.eigvalsh
+
+    def counting(a):
+        calls.append(1)
+        return original(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    rho = DensityMatrix(np.full((2, 2), 0.5))
+    assert len(calls) == 1
+    decompose(rho)
+    assert len(calls) == 1
+    decompose(rho.matrix)
+    assert len(calls) == 2
+    StateDecomposition(np.array([0.5, 0.5]), np.array([0.5, 0.0]))
+    assert len(calls) == 3
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
