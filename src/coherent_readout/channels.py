@@ -14,12 +14,18 @@ here works on that stack as a whole.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .linalg import ATOL_PHYSICAL, ATOL_STRUCTURAL, as_square_array, as_square_stack, identity_defect
+from .linalg import (
+    ATOL_PHYSICAL,
+    ATOL_STRUCTURAL,
+    Frozen,
+    as_square_array,
+    as_square_stack,
+    identity_defect,
+)
 
 _ID2 = np.eye(2, dtype=complex)
 _PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -50,10 +56,12 @@ def cptp_defect(ops: np.ndarray | Sequence[np.ndarray]) -> float:
     return identity_defect(_gram(as_square_stack(ops, name="Kraus operators")))
 
 
-@dataclass(frozen=True)
-class CptpReport:
-    defect: float
-    passed: bool
+class CptpReport(Frozen):
+    __slots__ = __match_args__ = ("defect", "passed")
+
+    def __init__(self, defect: float, passed: bool):
+        object.__setattr__(self, "defect", defect)
+        object.__setattr__(self, "passed", passed)
 
 
 def validate_cptp(ops: np.ndarray | Sequence[np.ndarray]) -> CptpReport:
@@ -62,8 +70,7 @@ def validate_cptp(ops: np.ndarray | Sequence[np.ndarray]) -> CptpReport:
     return CptpReport(defect=defect, passed=defect <= ATOL_PHYSICAL)
 
 
-@dataclass(frozen=True)
-class KrausChannel:
+class KrausChannel(Frozen):
     """A CPTP channel given by its Kraus operators; validated on construction.
 
     kraus_ops may be given as any sequence of N x N arrays; it is stored as a
@@ -71,24 +78,25 @@ class KrausChannel:
     do not reach the channel.
     """
 
-    dim: int
-    kraus_ops: np.ndarray
+    __slots__ = __match_args__ = ("dim", "kraus_ops")
 
-    def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError(f"channel dimension must be >= 1, got {self.dim}")
-        ops = as_square_stack(self.kraus_ops, name="Kraus operators").copy()
+    def __init__(self, dim: int, kraus_ops: np.ndarray | Sequence[np.ndarray]):
+        object.__setattr__(self, "dim", dim)
+        if dim < 1:
+            raise ValueError(f"channel dimension must be >= 1, got {dim}")
+        ops = as_square_stack(kraus_ops, name="Kraus operators").copy()
         ops.flags.writeable = False
         object.__setattr__(self, "kraus_ops", ops)
         if not np.isfinite(ops).all():
             raise ValueError("Kraus operators contain non-finite entries")
-        if ops.shape[1] != self.dim:
-            raise ValueError(f"Kraus operators have dimension {ops.shape[1]}, expected {self.dim}")
-        report = validate_cptp(ops)
-        if not report.passed:
+        if ops.shape[1] != dim:
+            raise ValueError(f"Kraus operators have dimension {ops.shape[1]}, expected {dim}")
+        # The stack's shape is checked, so the defect is cptp_defect's without its re-check.
+        defect = identity_defect(_gram(ops))
+        if not defect <= ATOL_PHYSICAL:
             raise ValueError(
                 f"Kraus operators violate trace preservation: "
-                f"defect {report.defect:.3e} exceeds {ATOL_PHYSICAL:.1e}"
+                f"defect {defect:.3e} exceeds {ATOL_PHYSICAL:.1e}"
             )
 
 

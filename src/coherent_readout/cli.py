@@ -231,8 +231,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model")
     p.add_argument("--z", help="JSON file with an observed distribution {'z': [...]}")
     p.add_argument("--counts", help="JSON file with counts {'shots': S, 'counts': [...]}")
-    p.add_argument("--max-iters", type=int, default=solver.SolverOptions.max_iterations)
-    p.add_argument("--tol", type=float, default=solver.SolverOptions.residual_tol)
+    defaults = solver.SolverOptions()
+    p.add_argument("--max-iters", type=int, default=defaults.max_iterations)
+    p.add_argument("--tol", type=float, default=defaults.residual_tol)
 
     add("paper-examples", cmd_paper_examples,
         "check the built-in noise zoo against its closed-form models")

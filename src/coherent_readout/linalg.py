@@ -2,7 +2,9 @@
 
 Everything operates on plain numpy arrays (complex128, square, dense).
 Matrices here are small: the package targets desk-scale problems, N <= 64.
-Hermitian eigenproblems go to LAPACK through numpy.linalg.
+Hermitian eigenproblems go to LAPACK through numpy.linalg. Frozen, the base
+of the package's value types, lives here because every module imports this
+one.
 """
 
 from __future__ import annotations
@@ -13,6 +15,55 @@ import numpy as np
 # preservation, completeness) versus exact structural identities.
 ATOL_PHYSICAL = 1e-10
 ATOL_STRUCTURAL = 1e-12
+
+
+class Frozen:
+    """Base of the package's value types: immutable, printed and compared by field.
+
+    A subclass names its constructor fields in __match_args__ and all its
+    attributes in __slots__, and sets them in its own __init__ through
+    object.__setattr__; attributes outside __match_args__ (such as
+    Povm.report) are left out of repr, == and hash. Array fields compare
+    with np.array_equal, and hash works only where no field is an array.
+    """
+
+    __slots__ = ()
+    __match_args__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(
+            np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+            for a, b in zip(self._fields(), other._fields())
+        )
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    # Pickling and copying restore the attributes past the __setattr__ guard;
+    # arrays they copied are the new object's own, so they are made read-only.
+    def __getstate__(self) -> dict:
+        return {name: getattr(self, name) for name in self.__slots__}
+
+    def __setstate__(self, state: dict) -> None:
+        for name, value in state.items():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
 
 def as_square_array(m, name: str = "matrix") -> np.ndarray:

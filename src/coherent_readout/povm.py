@@ -15,31 +15,49 @@ holds its elements as one read-only N x N x N complex array indexed
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .channels import KrausChannel, apply
-from .linalg import ATOL_PHYSICAL, as_square_stack, hermiticity_and_min_eigenvalue, identity_defect
+from .linalg import (
+    ATOL_PHYSICAL,
+    Frozen,
+    as_square_stack,
+    hermiticity_and_min_eigenvalue,
+    identity_defect,
+)
 
 
-@dataclass(frozen=True)
-class PovmReport:
-    hermiticity_defect: float
-    positivity_defect: float
-    completeness_defect: float
-    passed: bool
+class PovmReport(Frozen):
+    __slots__ = __match_args__ = (
+        "hermiticity_defect",
+        "positivity_defect",
+        "completeness_defect",
+        "passed",
+    )
+
+    def __init__(
+        self,
+        hermiticity_defect: float,
+        positivity_defect: float,
+        completeness_defect: float,
+        passed: bool,
+    ):
+        object.__setattr__(self, "hermiticity_defect", hermiticity_defect)
+        object.__setattr__(self, "positivity_defect", positivity_defect)
+        object.__setattr__(self, "completeness_defect", completeness_defect)
+        object.__setattr__(self, "passed", passed)
 
 
 def validate_povm(elements) -> PovmReport:
     """Worst hermiticity, positivity and completeness defects of a stack of elements.
 
-    elements is a K x N x N stack (or a sequence of N x N arrays). The
+    elements is a K x N x N stack, or a sequence of N x N arrays, whose
+    shape its caller checked (as Povm does with as_square_stack). The
     positivity defect is the most negative eigenvalue of any element's
     Hermitian part, clipped at zero; completeness is measured against I.
     All three pass at ATOL_PHYSICAL; a NaN defect fails.
     """
-    f = as_square_stack(elements, name="POVM elements")
+    f = np.asarray(elements, dtype=complex)
     if not np.isfinite(f).all():
         raise ValueError("POVM elements contain non-finite entries")
     hermiticity, w_min = hermiticity_and_min_eigenvalue(f)
@@ -54,30 +72,30 @@ def validate_povm(elements) -> PovmReport:
     )
 
 
-@dataclass(frozen=True)
-class Povm:
+class Povm(Frozen):
     """Validated POVM: Hermitian, positive semidefinite elements summing to I.
 
     elements may be given as any sequence of N x N arrays; it is stored as a
     read-only N x N x N complex copy, so later changes to the caller's arrays
-    do not reach the POVM. report is the validate_povm result it passed.
+    do not reach the POVM. report is the validate_povm result it passed; it
+    is not a field, so repr and == leave it out.
     """
 
-    dim: int
-    elements: np.ndarray
-    report: PovmReport = field(init=False, repr=False, compare=False)
+    __match_args__ = ("dim", "elements")
+    __slots__ = (*__match_args__, "report")
 
-    def __post_init__(self):
-        elems = as_square_stack(self.elements, name="POVM elements").copy()
+    def __init__(self, dim: int, elements):
+        object.__setattr__(self, "dim", dim)
+        elems = as_square_stack(elements, name="POVM elements").copy()
         elems.flags.writeable = False
         object.__setattr__(self, "elements", elems)
-        if elems.shape[0] != self.dim:
+        if elems.shape[0] != dim:
             raise ValueError(
-                f"expected {self.dim} POVM elements for a {self.dim}-outcome readout, "
+                f"expected {dim} POVM elements for a {dim}-outcome readout, "
                 f"got {elems.shape[0]}"
             )
-        if elems.shape[1] != self.dim:
-            raise ValueError(f"POVM elements have dimension {elems.shape[1]}, expected {self.dim}")
+        if elems.shape[1] != dim:
+            raise ValueError(f"POVM elements have dimension {elems.shape[1]}, expected {dim}")
         report = validate_povm(elems)
         object.__setattr__(self, "report", report)
         for axiom, defect in (

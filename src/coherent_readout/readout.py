@@ -16,18 +16,15 @@ is known in closed form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .channels import KrausChannel, amplitude_damping, dephasing, rotation_y, superoperator
-from .linalg import ATOL_PHYSICAL, ATOL_STRUCTURAL, unvec, vec
+from .linalg import ATOL_PHYSICAL, ATOL_STRUCTURAL, Frozen, unvec, vec
 from .povm import Povm
 from .states import DensityMatrix, StateDecomposition, _hold, assemble_matrix, pack_coherences
 
 
-@dataclass(frozen=True)
-class ReadoutModel:
+class ReadoutModel(Frozen):
     """Assignment matrix (N x N) and coherence response (N x N(N-1)).
 
     Row k of the assignment matrix and of half the coherence response are
@@ -38,12 +35,11 @@ class ReadoutModel:
     Both are held as read-only copies.
     """
 
-    assignment: np.ndarray
-    coherence: np.ndarray
+    __slots__ = __match_args__ = ("assignment", "coherence")
 
-    def __post_init__(self):
-        a = np.array(self.assignment, dtype=float)
-        c = np.array(self.coherence, dtype=float)
+    def __init__(self, assignment, coherence):
+        a = np.array(assignment, dtype=float)
+        c = np.array(coherence, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"assignment matrix must be square, got shape {a.shape}")
         n = a.shape[0]

@@ -29,10 +29,12 @@ A classical assignment-only inverter is included for comparison.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .linalg import Frozen
 from .readout import ReadoutModel
 from .states import _hold, assemble_matrix, split_matrix
 
@@ -40,28 +42,29 @@ _DISPLACEMENT_TOL = 1e-12
 _SINGULAR_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class SolverOptions:
-    max_iterations: int = 5000
-    residual_tol: float = 1e-9
+class SolverOptions(Frozen):
+    __slots__ = __match_args__ = ("max_iterations", "residual_tol")
 
-    def __post_init__(self):
-        if self.max_iterations < 1:
+    def __init__(self, max_iterations: int = 5000, residual_tol: float = 1e-9):
+        if isinstance(max_iterations, bool) or not isinstance(max_iterations, numbers.Integral):
+            raise ValueError(f"max_iterations must be an integer, got {max_iterations!r}")
+        if max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if not 0.0 < self.residual_tol < np.inf:
+        if not 0.0 < residual_tol < np.inf:
             raise ValueError("residual_tol must be finite and positive")
+        object.__setattr__(self, "max_iterations", max_iterations)
+        object.__setattr__(self, "residual_tol", residual_tol)
 
 
-@dataclass(frozen=True)
-class MitigationProblem:
-    model: ReadoutModel
-    z_observed: np.ndarray
+class MitigationProblem(Frozen):
+    __slots__ = __match_args__ = ("model", "z_observed")
 
-    def __post_init__(self):
-        z = np.array(self.z_observed, dtype=float)
-        if z.shape != (self.model.dim,):
+    def __init__(self, model: ReadoutModel, z_observed):
+        object.__setattr__(self, "model", model)
+        z = np.array(z_observed, dtype=float)
+        if z.shape != (model.dim,):
             raise ValueError(
-                f"observed distribution must have shape ({self.model.dim},), got {z.shape}"
+                f"observed distribution must have shape ({model.dim},), got {z.shape}"
             )
         if not np.isfinite(z).all():
             raise ValueError("observed distribution contains non-finite entries")

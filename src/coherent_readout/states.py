@@ -14,12 +14,11 @@ conjugates, in one step each.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .linalg import ATOL_PHYSICAL, as_square_array, hermiticity_and_min_eigenvalue
+from .linalg import ATOL_PHYSICAL, Frozen, as_square_array, hermiticity_and_min_eigenvalue
 
 
 @lru_cache(maxsize=None)
@@ -51,7 +50,7 @@ def pack_coherences(m) -> np.ndarray:
 
 
 def _hold(obj, **arrays):
-    """obj, a frozen dataclass, with each array (its own, not a caller's) as a read-only field.
+    """obj, a Frozen value, with each array (its own, not a caller's) as a read-only field.
 
     Given object.__new__(cls), it builds a cls from values derived from an
     object that already passed validation, without repeating it.
@@ -62,14 +61,13 @@ def _hold(obj, **arrays):
     return obj
 
 
-@dataclass(frozen=True)
-class DensityMatrix:
+class DensityMatrix(Frozen):
     """Validated quantum state: Hermitian, unit trace, positive semidefinite; a read-only copy."""
 
-    matrix: np.ndarray
+    __slots__ = __match_args__ = ("matrix",)
 
-    def __post_init__(self):
-        a = as_square_array(self.matrix, name="density matrix").copy()
+    def __init__(self, matrix):
+        a = as_square_array(matrix, name="density matrix").copy()
         _hold(self, matrix=a)
         if not np.isfinite(a).all():
             raise ValueError("density matrix contains non-finite entries")
@@ -87,19 +85,17 @@ class DensityMatrix:
         return self.matrix.shape[0]
 
 
-@dataclass(frozen=True)
-class StateDecomposition:
+class StateDecomposition(Frozen):
     """Real coordinates of a state: populations x and packed coherences y.
 
     Held as read-only copies, and accepted only if they encode a DensityMatrix.
     """
 
-    populations: np.ndarray
-    coherences: np.ndarray
+    __slots__ = __match_args__ = ("populations", "coherences")
 
-    def __post_init__(self):
-        x = np.array(self.populations, dtype=float)
-        y = np.array(self.coherences, dtype=float)
+    def __init__(self, populations, coherences):
+        x = np.array(populations, dtype=float)
+        y = np.array(coherences, dtype=float)
         if x.ndim != 1 or x.size == 0:
             raise ValueError("populations must be a non-empty 1-d real vector")
         n = x.size

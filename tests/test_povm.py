@@ -10,6 +10,7 @@ from coherent_readout.channels import (
     random_channel,
     rotation_y,
 )
+from coherent_readout.linalg import as_square_stack
 
 
 def unit(dim, i, j):
@@ -66,6 +67,19 @@ def test_povm_holds_a_read_only_copy():
     assert np.array_equal(p.elements, expected)
     with pytest.raises(ValueError, match="read-only"):
         povm.effective_povm(amplitude_damping(0.3)).elements[0][0, 0] = 2.0
+
+
+def test_each_construction_lays_out_its_stack_once(monkeypatch):
+    calls = []
+
+    def counting(ms, name="matrices"):
+        calls.append(name)
+        return as_square_stack(ms, name)
+
+    monkeypatch.setattr(channels, "as_square_stack", counting)
+    monkeypatch.setattr(povm, "as_square_stack", counting)
+    povm.effective_povm(random_channel(4, 3, seed=7))
+    assert calls == ["Kraus operators", "POVM elements"]
 
 
 def test_povm_rejects_broken_completeness():

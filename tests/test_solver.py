@@ -226,6 +226,11 @@ def test_density_projection_of_the_zero_matrix_is_maximally_mixed():
     [
         ({"max_iterations": 0}, "max_iterations"),
         ({"max_iterations": -1}, "max_iterations"),
+        # Not integers: a nan cap would stop mitigate before its first step.
+        ({"max_iterations": float("nan")}, "max_iterations"),
+        ({"max_iterations": float("inf")}, "max_iterations"),
+        ({"max_iterations": 2.5}, "max_iterations"),
+        ({"max_iterations": True}, "max_iterations"),
         ({"residual_tol": float("nan")}, "residual_tol"),
         ({"residual_tol": 0.0}, "residual_tol"),
         ({"residual_tol": float("inf")}, "residual_tol"),

@@ -1,0 +1,118 @@
+import copy
+import pickle
+
+import numpy as np
+import pytest
+
+from coherent_readout.channels import CptpReport, KrausChannel
+from coherent_readout.povm import Povm, PovmReport
+from coherent_readout.readout import ReadoutModel
+from coherent_readout.solver import MitigationProblem, SolverOptions
+from coherent_readout.states import DensityMatrix, StateDecomposition
+
+
+def one_level_model():
+    return ReadoutModel([[1.0]], np.zeros((1, 0)))
+
+
+def two_level_model():
+    return ReadoutModel(np.eye(2), np.zeros((2, 2)))
+
+
+# (make, make_other, repr, hashable): make builds a fresh instance with its own
+# arrays each call; make_other builds one that differs in some field.
+VALUES = {
+    "KrausChannel": (
+        lambda: KrausChannel(1, [[[1.0]]]),
+        lambda: KrausChannel(1, [[[-1.0]]]),
+        "KrausChannel(dim=1, kraus_ops=array([[[1.+0.j]]]))",
+        False,
+    ),
+    "CptpReport": (
+        lambda: CptpReport(0.0, True),
+        lambda: CptpReport(0.75, False),
+        "CptpReport(defect=0.0, passed=True)",
+        True,
+    ),
+    "Povm": (
+        lambda: Povm(1, [[[1.0]]]),
+        lambda: Povm(2, np.eye(2)[:, None] * np.eye(2)),
+        "Povm(dim=1, elements=array([[[1.+0.j]]]))",
+        False,
+    ),
+    "PovmReport": (
+        lambda: PovmReport(0.0, 0.0, 0.0, True),
+        lambda: PovmReport(0.0, 0.5, 0.0, False),
+        "PovmReport(hermiticity_defect=0.0, positivity_defect=0.0, "
+        "completeness_defect=0.0, passed=True)",
+        True,
+    ),
+    "DensityMatrix": (
+        lambda: DensityMatrix([[1.0]]),
+        lambda: DensityMatrix(np.eye(2) / 2.0),
+        "DensityMatrix(matrix=array([[1.+0.j]]))",
+        False,
+    ),
+    "StateDecomposition": (
+        lambda: StateDecomposition([1.0], []),
+        lambda: StateDecomposition([0.5, 0.5], [0.0, 0.0]),
+        "StateDecomposition(populations=array([1.]), coherences=array([], dtype=float64))",
+        False,
+    ),
+    "ReadoutModel": (
+        one_level_model,
+        two_level_model,
+        "ReadoutModel(assignment=array([[1.]]), coherence=array([], shape=(1, 0), dtype=float64))",
+        False,
+    ),
+    "SolverOptions": (
+        SolverOptions,
+        lambda: SolverOptions(max_iterations=7),
+        "SolverOptions(max_iterations=5000, residual_tol=1e-09)",
+        True,
+    ),
+    "MitigationProblem": (
+        lambda: MitigationProblem(one_level_model(), [1.0]),
+        lambda: MitigationProblem(two_level_model(), [1.0, 0.0]),
+        "MitigationProblem(model=ReadoutModel(assignment=array([[1.]]), "
+        "coherence=array([], shape=(1, 0), dtype=float64)), z_observed=array([1.]))",
+        False,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", VALUES)
+def test_value_types_are_immutable_and_compare_by_value(name):
+    make, make_other, text, hashable = VALUES[name]
+    value = make()
+    assert type(value).__name__ == name
+    assert repr(value) == text
+    # Equal fields held in different arrays compare equal, as a bool.
+    same, other = value == make(), value == make_other()
+    assert type(same) is bool and same
+    assert type(other) is bool and not other
+    assert value != make_other()
+    assert value != text
+    field = type(value).__match_args__[0]
+    with pytest.raises(AttributeError):
+        setattr(value, field, None)
+    with pytest.raises(AttributeError):
+        delattr(value, field)
+    with pytest.raises(AttributeError):
+        value.extra = None
+    if hashable:
+        assert hash(value) == hash(make())
+    else:
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(value)
+
+
+@pytest.mark.parametrize("name", VALUES)
+def test_value_types_survive_pickle_and_copy(name):
+    value = VALUES[name][0]()
+    for twin in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+        assert type(twin) is type(value) and twin == value
+        assert repr(twin) == repr(value)
+        for field in type(value).__slots__:
+            a = getattr(twin, field)
+            assert not (isinstance(a, np.ndarray) and a.flags.writeable)
