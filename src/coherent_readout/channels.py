@@ -48,25 +48,20 @@ def _kron_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("aij,bkl->abikjl", a, b).reshape(-1, n, n)
 
 
-def cptp_defect(ops: np.ndarray | Sequence[np.ndarray]) -> float:
-    """Max-entry norm of sum_a E_a^dag E_a - I.
-
-    ops is a K x N x N stack or a sequence of N x N arrays.
-    """
-    return identity_defect(_gram(as_square_stack(ops, name="Kraus operators")))
-
-
 class CptpReport(Frozen):
     __slots__ = __match_args__ = ("defect", "passed")
 
     def __init__(self, defect: float, passed: bool):
-        object.__setattr__(self, "defect", defect)
-        object.__setattr__(self, "passed", passed)
+        self._set(defect=defect, passed=passed)
 
 
 def validate_cptp(ops: np.ndarray | Sequence[np.ndarray]) -> CptpReport:
-    """Check the completeness condition sum_a E_a^dag E_a = I at ATOL_PHYSICAL."""
-    defect = cptp_defect(ops)
+    """Check the completeness condition sum_a E_a^dag E_a = I at ATOL_PHYSICAL.
+
+    ops is a K x N x N stack or a sequence of N x N arrays; the defect is
+    the max-entry norm of sum_a E_a^dag E_a - I.
+    """
+    defect = identity_defect(_gram(as_square_stack(ops, name="Kraus operators")))
     return CptpReport(defect=defect, passed=defect <= ATOL_PHYSICAL)
 
 
@@ -75,23 +70,20 @@ class KrausChannel(Frozen):
 
     kraus_ops may be given as any sequence of N x N arrays; it is stored as a
     read-only K x N x N complex copy, so later changes to the caller's arrays
-    do not reach the channel.
+    do not reach the channel. dim is the stack's N; the argument is only
+    checked against it.
     """
 
     __slots__ = __match_args__ = ("dim", "kraus_ops")
 
     def __init__(self, dim: int, kraus_ops: np.ndarray | Sequence[np.ndarray]):
-        object.__setattr__(self, "dim", dim)
-        if dim < 1:
-            raise ValueError(f"channel dimension must be >= 1, got {dim}")
         ops = as_square_stack(kraus_ops, name="Kraus operators").copy()
-        ops.flags.writeable = False
-        object.__setattr__(self, "kraus_ops", ops)
+        self._set(dim=ops.shape[1], kraus_ops=ops)
         if not np.isfinite(ops).all():
             raise ValueError("Kraus operators contain non-finite entries")
         if ops.shape[1] != dim:
             raise ValueError(f"Kraus operators have dimension {ops.shape[1]}, expected {dim}")
-        # The stack's shape is checked, so the defect is cptp_defect's without its re-check.
+        # The stack's shape is checked, so the defect is validate_cptp's without its re-check.
         defect = identity_defect(_gram(ops))
         if not defect <= ATOL_PHYSICAL:
             raise ValueError(

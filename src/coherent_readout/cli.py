@@ -20,6 +20,7 @@ from .linalg import ATOL_PHYSICAL, ATOL_STRUCTURAL
 from .states import decompose
 
 _SAMPLE_DEFAULT_SEED = 0
+_MAX_SHOTS = 2**63 - 1  # rng.multinomial takes its number of trials as an int64
 
 
 def _emit(obj, out_path) -> None:
@@ -119,6 +120,8 @@ def cmd_forward(args) -> tuple[dict, int]:
 def cmd_sample(args) -> tuple[dict, int]:
     if args.shots < 1:
         raise formats.FormatError("--shots must be >= 1")
+    if args.shots > _MAX_SHOTS:
+        raise formats.FormatError(f"--shots must be <= {_MAX_SHOTS}")
     if args.seed < 0:
         raise formats.FormatError("--seed must be >= 0")
     ch = _load_channel(args.channel)

@@ -240,9 +240,12 @@ def distribution_from_obj(obj, dim: int) -> np.ndarray:
         arr = _numbers(obj["counts"], "'counts'", (dim,))
         if np.any(arr < 0):
             raise FormatError("counts must be non-negative")
-        total = float(arr.sum())
+        with np.errstate(over="ignore"):  # an overflowing sum is rejected below
+            total = float(arr.sum())
         if total <= 0:
             raise FormatError("counts must not all be zero")
+        if total == math.inf:
+            raise FormatError("the sum of the counts overflows")
         shots = obj.get("shots")
         if "shots" in obj and not (_is_int_in_range(shots, math.inf) and shots == total):
             raise FormatError(

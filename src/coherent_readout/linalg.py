@@ -22,9 +22,9 @@ class Frozen:
 
     A subclass names its constructor fields in __match_args__ and all its
     attributes in __slots__, and sets them in its own __init__ through
-    object.__setattr__; attributes outside __match_args__ (such as
-    Povm.report) are left out of repr, == and hash. Array fields compare
-    with np.array_equal, and hash works only where no field is an array.
+    _set; attributes outside __match_args__ (such as Povm.report) are left
+    out of repr, == and hash. Array fields compare with np.array_equal, and
+    hash works only where no field is an array.
     """
 
     __slots__ = ()
@@ -35,6 +35,19 @@ class Frozen:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+    def _set(self, **fields):
+        """Set each field past the __setattr__ guard and return self.
+
+        Array fields must be the object's own, not a caller's: they are made
+        read-only in place. object.__new__(cls)._set(...) builds a cls from
+        values derived from an object that already passed validation.
+        """
+        for name, value in fields.items():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+            object.__setattr__(self, name, value)
+        return self
 
     def _fields(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__match_args__)
@@ -54,16 +67,13 @@ class Frozen:
     def __hash__(self) -> int:
         return hash(self._fields())
 
-    # Pickling and copying restore the attributes past the __setattr__ guard;
-    # arrays they copied are the new object's own, so they are made read-only.
+    # Arrays that pickling and copying made are the new object's own, so
+    # _set makes them read-only too.
     def __getstate__(self) -> dict:
         return {name: getattr(self, name) for name in self.__slots__}
 
     def __setstate__(self, state: dict) -> None:
-        for name, value in state.items():
-            if isinstance(value, np.ndarray):
-                value.flags.writeable = False
-            object.__setattr__(self, name, value)
+        self._set(**state)
 
 
 def as_square_array(m, name: str = "matrix") -> np.ndarray:

@@ -42,10 +42,12 @@ class PovmReport(Frozen):
         completeness_defect: float,
         passed: bool,
     ):
-        object.__setattr__(self, "hermiticity_defect", hermiticity_defect)
-        object.__setattr__(self, "positivity_defect", positivity_defect)
-        object.__setattr__(self, "completeness_defect", completeness_defect)
-        object.__setattr__(self, "passed", passed)
+        self._set(
+            hermiticity_defect=hermiticity_defect,
+            positivity_defect=positivity_defect,
+            completeness_defect=completeness_defect,
+            passed=passed,
+        )
 
 
 def validate_povm(elements) -> PovmReport:
@@ -77,7 +79,8 @@ class Povm(Frozen):
 
     elements may be given as any sequence of N x N arrays; it is stored as a
     read-only N x N x N complex copy, so later changes to the caller's arrays
-    do not reach the POVM. report is the validate_povm result it passed; it
+    do not reach the POVM. dim is the stack's N; the argument is only
+    checked against it. report is the validate_povm result it passed; it
     is not a field, so repr and == leave it out.
     """
 
@@ -85,10 +88,8 @@ class Povm(Frozen):
     __slots__ = (*__match_args__, "report")
 
     def __init__(self, dim: int, elements):
-        object.__setattr__(self, "dim", dim)
         elems = as_square_stack(elements, name="POVM elements").copy()
-        elems.flags.writeable = False
-        object.__setattr__(self, "elements", elems)
+        self._set(dim=elems.shape[1], elements=elems)
         if elems.shape[0] != dim:
             raise ValueError(
                 f"expected {dim} POVM elements for a {dim}-outcome readout, "
@@ -97,7 +98,7 @@ class Povm(Frozen):
         if elems.shape[1] != dim:
             raise ValueError(f"POVM elements have dimension {elems.shape[1]}, expected {dim}")
         report = validate_povm(elems)
-        object.__setattr__(self, "report", report)
+        self._set(report=report)
         for axiom, defect in (
             ("hermiticity", report.hermiticity_defect),
             ("positivity", report.positivity_defect),

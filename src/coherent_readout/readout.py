@@ -21,7 +21,7 @@ import numpy as np
 from .channels import KrausChannel, amplitude_damping, dephasing, rotation_y, superoperator
 from .linalg import ATOL_PHYSICAL, ATOL_STRUCTURAL, Frozen, unvec, vec
 from .povm import Povm
-from .states import DensityMatrix, StateDecomposition, _hold, assemble_matrix, pack_coherences
+from .states import DensityMatrix, StateDecomposition, assemble_matrix, pack_coherences
 
 
 class ReadoutModel(Frozen):
@@ -48,7 +48,7 @@ class ReadoutModel(Frozen):
                 f"coherence response must have shape ({n}, {n * (n - 1)}), got {c.shape}"
             )
         Povm(n, assemble_matrix(a, c / 2.0))
-        _hold(self, assignment=a, coherence=c)
+        self._set(assignment=a, coherence=c)
 
     @property
     def dim(self) -> int:
@@ -67,7 +67,7 @@ def extract(p: Povm) -> ReadoutModel:
     if bad.size:
         raise ValueError(f"POVM element {bad[0]} has non-real diagonal")
     coherence = 2.0 * pack_coherences(p.elements)
-    return _hold(object.__new__(ReadoutModel), assignment=diag.real.copy(), coherence=coherence)
+    return object.__new__(ReadoutModel)._set(assignment=diag.real.copy(), coherence=coherence)
 
 
 def forward(model: ReadoutModel, decomp: StateDecomposition) -> np.ndarray:

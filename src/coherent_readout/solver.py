@@ -36,7 +36,7 @@ import numpy as np
 
 from .linalg import Frozen
 from .readout import ReadoutModel
-from .states import _hold, assemble_matrix, split_matrix
+from .states import assemble_matrix, split_matrix
 
 _DISPLACEMENT_TOL = 1e-12
 _SINGULAR_TOL = 1e-12
@@ -52,15 +52,13 @@ class SolverOptions(Frozen):
             raise ValueError("max_iterations must be >= 1")
         if not 0.0 < residual_tol < np.inf:
             raise ValueError("residual_tol must be finite and positive")
-        object.__setattr__(self, "max_iterations", max_iterations)
-        object.__setattr__(self, "residual_tol", residual_tol)
+        self._set(max_iterations=max_iterations, residual_tol=residual_tol)
 
 
 class MitigationProblem(Frozen):
     __slots__ = __match_args__ = ("model", "z_observed")
 
     def __init__(self, model: ReadoutModel, z_observed):
-        object.__setattr__(self, "model", model)
         z = np.array(z_observed, dtype=float)
         if z.shape != (model.dim,):
             raise ValueError(
@@ -68,10 +66,10 @@ class MitigationProblem(Frozen):
             )
         if not np.isfinite(z).all():
             raise ValueError("observed distribution contains non-finite entries")
-        _hold(self, z_observed=z)
+        self._set(model=model, z_observed=z)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MitigationResult:
     x_hat: np.ndarray
     y_hat: np.ndarray

@@ -49,18 +49,6 @@ def pack_coherences(m) -> np.ndarray:
     return np.ascontiguousarray(flat[..., upper]).view(float)
 
 
-def _hold(obj, **arrays):
-    """obj, a Frozen value, with each array (its own, not a caller's) as a read-only field.
-
-    Given object.__new__(cls), it builds a cls from values derived from an
-    object that already passed validation, without repeating it.
-    """
-    for name, a in arrays.items():
-        a.flags.writeable = False
-        object.__setattr__(obj, name, a)
-    return obj
-
-
 class DensityMatrix(Frozen):
     """Validated quantum state: Hermitian, unit trace, positive semidefinite; a read-only copy."""
 
@@ -68,7 +56,7 @@ class DensityMatrix(Frozen):
 
     def __init__(self, matrix):
         a = as_square_array(matrix, name="density matrix").copy()
-        _hold(self, matrix=a)
+        self._set(matrix=a)
         if not np.isfinite(a).all():
             raise ValueError("density matrix contains non-finite entries")
         hermiticity, w_min = hermiticity_and_min_eigenvalue(a)
@@ -104,7 +92,7 @@ class StateDecomposition(Frozen):
                 f"coherence vector must have length N(N-1) = {n * (n - 1)}, got {y.size}"
             )
         DensityMatrix(assemble_matrix(x, y))
-        _hold(self, populations=x, coherences=y)
+        self._set(populations=x, coherences=y)
 
     @property
     def dim(self) -> int:
@@ -142,7 +130,7 @@ def decompose(rho) -> StateDecomposition:
     if not isinstance(rho, DensityMatrix):
         rho = DensityMatrix(rho)
     x, y = split_matrix(rho.matrix)
-    return _hold(object.__new__(StateDecomposition), populations=x, coherences=y)
+    return object.__new__(StateDecomposition)._set(populations=x, coherences=y)
 
 
 def reconstruct(decomp: StateDecomposition) -> np.ndarray:

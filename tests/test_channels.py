@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from conftest import random_hermitian
 from coherent_readout import channels
 from coherent_readout.linalg import unvec, vec
+from coherent_readout.povm import Povm
 from coherent_readout.readout import ReadoutModel
 from coherent_readout.solver import MitigationProblem
 from coherent_readout.states import DensityMatrix, StateDecomposition, random_density
@@ -41,7 +42,7 @@ def test_channel_constructor_rejects_non_finite(bad):
 def test_overflowing_gram_is_rejected_without_warning():
     # sum_a E_a^dag E_a overflows to inf; RuntimeWarnings are errors in this suite.
     ops = [[[1e200, 0], [0, 1]]]
-    assert channels.cptp_defect(ops) == np.inf
+    assert channels.validate_cptp(ops).defect == np.inf
     with pytest.raises(ValueError, match="trace preservation"):
         channels.KrausChannel(2, ops)
 
@@ -74,6 +75,27 @@ def test_channel_holds_a_read_only_copy():
     assert np.array_equal(ch.kraus_ops, channels.amplitude_damping(0.3).kraus_ops)
     with pytest.raises(ValueError, match="read-only"):
         ch.kraus_ops[0][0, 0] = 2.0
+
+
+@pytest.mark.parametrize(
+    "cls, dim, stack, text",
+    [
+        (channels.KrausChannel, 2.0, [np.eye(2)], "KrausChannel(dim=2, kraus_ops="),
+        (Povm, True, [[[1.0]]], "Povm(dim=1, elements="),
+    ],
+    ids=["KrausChannel", "Povm"],
+)
+def test_dim_is_the_stacks_own(cls, dim, stack, text):
+    value = cls(dim, stack)
+    assert type(value.dim) is int and value.dim == len(stack[0])
+    assert repr(value).startswith(text)
+
+
+def test_dim_argument_is_checked_against_the_stack():
+    with pytest.raises(ValueError, match="dimension 2, expected 0"):
+        channels.KrausChannel(0, [np.eye(2)])
+    with pytest.raises(ValueError, match="expected 3 POVM elements"):
+        Povm(3, [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
 
 
 def damping_model():
@@ -236,7 +258,7 @@ def test_pauli_two_qubit_is_cptp(seed):
     probs = np.random.default_rng(seed).dirichlet(np.ones(16))
     ch = channels.pauli_channel(probs)
     assert ch.dim == 4
-    assert channels.cptp_defect(ch.kraus_ops) < 1e-12
+    assert channels.validate_cptp(ch.kraus_ops).defect < 1e-12
 
 
 def test_tensor_of_identities_is_identity():
@@ -249,7 +271,7 @@ def test_tensor_of_identities_is_identity():
 def test_tensor_kraus_count_and_validity():
     ch = channels.tensor(channels.amplitude_damping(0.3), channels.dephasing(0.5))
     assert len(ch.kraus_ops) == 4
-    assert channels.cptp_defect(ch.kraus_ops) < 1e-15
+    assert channels.validate_cptp(ch.kraus_ops).defect < 1e-15
 
 
 def test_tensor_acts_independently():
@@ -328,7 +350,7 @@ def test_random_channel_is_cptp(dim, n_kraus):
     ch = channels.random_channel(dim, n_kraus, 99)
     assert ch.dim == dim
     assert len(ch.kraus_ops) == n_kraus
-    assert channels.cptp_defect(ch.kraus_ops) < 1e-12
+    assert channels.validate_cptp(ch.kraus_ops).defect < 1e-12
 
 
 def test_random_channel_deterministic_per_seed():

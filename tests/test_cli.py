@@ -485,11 +485,13 @@ TWO_QUBIT_MODEL = {"A": np.eye(4).tolist(), "C": np.zeros((4, 12)).tolist()}
         (["mitigate", "--channel", "ch", "--counts", "counts"], {"counts": {"shots": True, "counts": [1, 0]}}),
         (["mitigate", "--channel", "ch", "--counts", "counts"], {"counts": {"shots": 4.0, "counts": [3, 1]}}),
         (["mitigate", "--channel", "ch", "--counts", "counts"], {"counts": {"shots": None, "counts": [3, 1]}}),
+        (["mitigate", "--channel", "ch", "--counts", "counts"], {"counts": {"counts": [1e308, 1e308]}}),
+        (["sample", "--channel", "ch", "--state", "state", "--shots", str(2**63)], {}),
     ],
     ids=["short-y", "empty-x", "wrong-C-shape", "non-square-A", "negative-seed",
          "state-vs-channel", "state-vs-model", "model-vs-state", "oracle-state-vs-channel",
          "sample-state-vs-channel", "model-vs-channel", "shots-string", "shots-not-the-sum",
-         "shots-boolean", "shots-float", "shots-null"],
+         "shots-boolean", "shots-float", "shots-null", "counts-sum-overflows", "shots-beyond-int64"],
 )
 def test_schema_violation_is_usage_error(capsys, write_json, argv, docs):
     docs = {"ch": AMP_DAMP, "state": GROUND_STATE, **docs}

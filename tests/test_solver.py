@@ -261,6 +261,13 @@ def test_problem_rejects_non_finite():
 # ----------------------------------------------------------------- mitigate
 
 
+def test_results_compare_by_identity():
+    model = model_of(amplitude_damping(0.3))
+    a, b = (mitigate(MitigationProblem(model, [0.3, 0.7])) for _ in range(2))
+    assert (a == b) is False
+    assert (a == a) is True
+
+
 def test_identity_problem_converges_in_one_step():
     # The one step is the closed-form start: |0><0| is the consistent state
     # nearest I/2, so no iteration runs.
