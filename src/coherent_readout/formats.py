@@ -24,8 +24,9 @@ from .readout import ReadoutModel
 from .states import DensityMatrix, assemble_matrix
 
 COLUMN_ORDER = "lex-pairs-RI"
-# The package targets N <= 64; a larger dim or n in a file is rejected before
-# anything of that size (or 2**n itself) is computed.
+# The package targets N <= 64; a larger dim or n in a file, or a model's 'A'
+# or a state's 'x' that implies one, is rejected before anything of that size
+# (or 2**n itself) is computed.
 MAX_QUBITS = 6
 MAX_DIM = 2**MAX_QUBITS
 # A channel on dim <= MAX_DIM never needs more Kraus operators (Choi rank);
@@ -188,6 +189,8 @@ def state_from_obj(obj, dim: int | None = None) -> DensityMatrix:
         n = len(obj["x"]) if isinstance(obj["x"], list) else 0
         if n == 0:
             raise FormatError("'x' must be a non-empty list of numbers")
+        if n > MAX_DIM:
+            raise FormatError(f"'x' has {n} populations, more than {MAX_DIM}")
         x = _numbers(obj["x"], "'x'", (n,))
         matrix = assemble_matrix(x, _numbers(obj["y"], "'y'", (n * (n - 1),)))
     else:
@@ -219,6 +222,8 @@ def model_from_obj(obj) -> ReadoutModel:
     n = len(a) if isinstance(a, list) else 0
     if n == 0:
         raise FormatError("'A' must be a non-empty square nested list of numbers")
+    if n > MAX_DIM:
+        raise FormatError(f"'A' has {n} rows, more than {MAX_DIM}")
     if ("dim" in obj or "n" in obj) and _read_dim(obj, "model spec") != n:
         raise FormatError("model spec dimension does not match 'A'")
     if n == 1 and c == []:  # a 1-level model has no coherences: C is 1 x 0
@@ -237,7 +242,8 @@ def distribution_from_obj(obj, dim: int) -> np.ndarray:
     if "z" in obj:
         return _numbers(obj["z"], "'z'", (dim,))
     if "counts" in obj:
-        arr = _numbers(obj["counts"], "'counts'", (dim,))
+        counts = obj["counts"]
+        arr = _numbers(counts, "'counts'", (dim,))
         if np.any(arr < 0):
             raise FormatError("counts must be non-negative")
         with np.errstate(over="ignore"):  # an overflowing sum is rejected below
@@ -246,11 +252,15 @@ def distribution_from_obj(obj, dim: int) -> np.ndarray:
             raise FormatError("counts must not all be zero")
         if total == math.inf:
             raise FormatError("the sum of the counts overflows")
-        shots = obj.get("shots")
-        if "shots" in obj and not (_is_int_in_range(shots, math.inf) and shots == total):
-            raise FormatError(
-                f"'shots' must be a JSON integer equal to the sum of the counts, {total:.17g}"
-            )
+        if "shots" in obj:
+            shots = obj["shots"]
+            # JSON integers are summed exactly: their float sum rounds above 2**53.
+            exact = sum(counts) if all(type(c) is int for c in counts) else total
+            if not (_is_int_in_range(shots, math.inf) and shots == exact):
+                shown = exact if type(exact) is int else f"{exact:.17g}"
+                raise FormatError(
+                    f"'shots' must be a JSON integer equal to the sum of the counts, {shown}"
+                )
         return arr / total
     raise FormatError("distribution spec needs either 'z' or 'counts'")
 

@@ -15,8 +15,9 @@ sum_k mu_k F_k, with mu the minimum-norm solution of G mu = z: of all
 matrices that best explain z, v* is the one nearest 0 and, as
 I = sum_k F_k, nearest I/N. That is the spectral projection of a
 linear-inversion estimate (Smolin, Gambetta & Smith, PRL 108, 070502,
-2012). When v* is a state, consistent data are solved in closed form, by
-the consistent state nearest I/N, the least pure one.
+2012). When v* is a state, it is its own projection and is taken as it
+is, with no simplex step or rebuild: consistent data are then solved in
+closed form, by the consistent state nearest I/N, the least pure one.
 
 The steps are accelerated with FISTA momentum (Beck & Teboulle, SIAM J.
 Imaging Sci. 2, 183, 2009) and made monotone by a function-value restart
@@ -119,8 +120,15 @@ def project_to_density_set(x, y) -> tuple[np.ndarray, np.ndarray]:
     after clipping can cancel a gradient step exactly (whenever the step is
     parallel to the iterate) and park the solver at a non-optimal point.
     The zero matrix maps to I/N, diag(-1, -2) to |0><0|.
+
+    A state is its own projection and is returned as it is, in new arrays:
+    where no eigenvalue is negative and the trace is within 1e-12 of 1,
+    the projection would move the point by at most that trace error, which
+    mitigate() already counts as no move.
     """
     w, v = np.linalg.eigh(assemble_matrix(x, y))
+    if w[0] >= 0.0 and abs(w.sum() - 1.0) <= _DISPLACEMENT_TOL:
+        return np.array(x, dtype=float), np.array(y, dtype=float)
     w = project_to_simplex(w)
     return split_matrix((v * w) @ v.conj().T)
 

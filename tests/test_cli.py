@@ -323,6 +323,27 @@ def test_mitigate_from_counts(capsys, write_json):
     assert np.max(np.abs(np.array(doc["x"]) - [0.0, 1.0])) < 1e-6
 
 
+def test_shots_are_compared_with_the_exact_sum_of_integer_counts(capsys, write_json):
+    # The float sum of these counts rounds to 2**53, one below shots.
+    ch = write_json("ch.json", AMP_DAMP)
+    counts = write_json("counts.json", {"shots": 2**53 + 1, "counts": [2**53, 1]})
+    code, doc = run(capsys, "mitigate", "--channel", ch, "--counts", counts)
+    assert code == 0
+    assert doc["converged"] is True
+
+
+def test_sampled_counts_of_the_most_shots_are_read_back(capsys, tmp_path, write_json):
+    ch = write_json("ch.json", AMP_DAMP)
+    st = write_json("state.json", PLUS_STATE)
+    counts = str(tmp_path / "counts.json")
+    code, doc = run(capsys, "sample", "--channel", ch, "--state", st,
+                    "--shots", str(2**63 - 1), "--out", counts)
+    assert code == 0 and sum(doc["counts"]) == doc["shots"] == 2**63 - 1
+    code, doc = run(capsys, "mitigate", "--channel", ch, "--counts", counts)
+    assert code == 0
+    assert doc["converged"] is True
+
+
 def test_mitigate_data_no_state_explains(capsys, write_json):
     # v* for z = [-1, 0] is negative definite; its projection is still the
     # best fit, |1><1|.
@@ -460,6 +481,10 @@ def test_invalid_solver_flag_is_usage_error(capsys, write_json, flag, value):
 
 TWO_QUBIT_STATE = {"x": [1, 0, 0, 0], "y": [0] * 12}
 TWO_QUBIT_MODEL = {"A": np.eye(4).tolist(), "C": np.zeros((4, 12)).tolist()}
+# Valid in all but size: 65 levels, one more than the package targets, implied
+# by the length of 'A' or 'x' alone.
+LEVELS_65_MODEL = {"A": np.eye(65, dtype=int).tolist(), "C": [[0] * (65 * 64)] * 65}
+LEVELS_65_STATE = {"x": [1] + [0] * 64, "y": [0] * (65 * 64)}
 
 
 @pytest.mark.parametrize(
@@ -487,11 +512,16 @@ TWO_QUBIT_MODEL = {"A": np.eye(4).tolist(), "C": np.zeros((4, 12)).tolist()}
         (["mitigate", "--channel", "ch", "--counts", "counts"], {"counts": {"shots": None, "counts": [3, 1]}}),
         (["mitigate", "--channel", "ch", "--counts", "counts"], {"counts": {"counts": [1e308, 1e308]}}),
         (["sample", "--channel", "ch", "--state", "state", "--shots", str(2**63)], {}),
+        (["forward", "--model", "model", "--state", "state"],
+         {"model": LEVELS_65_MODEL, "state": LEVELS_65_STATE}),
+        (["mitigate", "--model", "model", "--z", "z"], {"model": LEVELS_65_MODEL, "z": {"z": [1] + [0] * 64}}),
+        (["forward", "--channel", "ch", "--state", "state"], {"state": LEVELS_65_STATE}),
     ],
     ids=["short-y", "empty-x", "wrong-C-shape", "non-square-A", "negative-seed",
          "state-vs-channel", "state-vs-model", "model-vs-state", "oracle-state-vs-channel",
          "sample-state-vs-channel", "model-vs-channel", "shots-string", "shots-not-the-sum",
-         "shots-boolean", "shots-float", "shots-null", "counts-sum-overflows", "shots-beyond-int64"],
+         "shots-boolean", "shots-float", "shots-null", "counts-sum-overflows", "shots-beyond-int64",
+         "model-above-64-forward", "model-above-64-mitigate", "state-above-64"],
 )
 def test_schema_violation_is_usage_error(capsys, write_json, argv, docs):
     docs = {"ch": AMP_DAMP, "state": GROUND_STATE, **docs}
@@ -501,6 +531,16 @@ def test_schema_violation_is_usage_error(capsys, write_json, argv, docs):
     assert code == 2
     assert captured.out == ""
     assert one_error_line(captured)
+
+
+@pytest.mark.parametrize(
+    "read, doc",
+    [(formats.model_from_obj, LEVELS_65_MODEL), (formats.state_from_obj, LEVELS_65_STATE)],
+    ids=["model", "state"],
+)
+def test_implied_dimension_is_held_to_64(read, doc):
+    with pytest.raises(formats.FormatError, match="more than 64"):
+        read(doc)
 
 
 def test_one_level_model_may_give_C_as_an_empty_list(capsys, write_json):

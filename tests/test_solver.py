@@ -32,6 +32,7 @@ from coherent_readout.states import (
     assemble_matrix,
     decompose,
     random_density,
+    split_matrix,
 )
 
 
@@ -218,6 +219,62 @@ def test_density_projection_of_the_zero_matrix_is_maximally_mixed():
     assert np.max(np.abs(y)) < 1e-15
 
 
+def spy(monkeypatch, name):
+    """Record the arguments of every call made to solver.<name> through the module."""
+    calls = []
+    original = getattr(solver, name)
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(solver, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("seed", [40, 41, 42])
+def test_density_projection_returns_a_state_as_it_is(monkeypatch, seed):
+    d = decompose(random_density(1 + seed % 3, seed).matrix)
+    simplex_calls = spy(monkeypatch, "project_to_simplex")
+    x, y = project_to_density_set(d.populations, d.coherences)
+    assert not simplex_calls
+    assert x.tobytes() == d.populations.tobytes() and y.tobytes() == d.coherences.tobytes()
+    assert not np.shares_memory(x, d.populations) and not np.shares_memory(y, d.coherences)
+    assert x.flags.writeable and y.flags.writeable
+
+
+@given(seed=st.integers(0, 2**32 - 1), excess=st.floats(-1e-12, 1e-12))
+@settings(max_examples=30, deadline=None)
+def test_density_projection_of_a_state_is_within_the_displacement_tolerance(seed, excess):
+    # The state returned as it is differs from its full spectral projection by
+    # at most the trace error the early return allows.
+    rho = random_density(2, seed).matrix * (1.0 + excess)
+    x, y = project_to_density_set(*split_matrix(rho))
+    w, v = np.linalg.eigh(rho)
+    if w[0] < 0.0 or abs(w.sum() - 1.0) > 1e-12:
+        return  # not a state within the tolerance, so projected in full
+    projected = (v * project_to_simplex(w)) @ v.conj().T
+    assert np.max(np.abs(assemble_matrix(x, y) - projected)) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "x, y, expected_x, expected_y",
+    [
+        # Positive definite with trace 1.2: the spectrum shifts down by 0.1.
+        ([0.7, 0.5], [0.1, 0.0], [0.6, 0.4], [0.1, 0.0]),
+        # Unit trace with eigenvalue -0.4: clipped to the pure plus state.
+        ([0.5, 0.5], [0.9, 0.0], [0.5, 0.5], [0.5, 0.0]),
+    ],
+    ids=["trace-1.2", "negative-eigenvalue"],
+)
+def test_density_projection_still_projects_what_is_not_a_state(monkeypatch, x, y, expected_x, expected_y):
+    simplex_calls = spy(monkeypatch, "project_to_simplex")
+    x1, y1 = project_to_density_set(np.array(x), np.array(y))
+    assert len(simplex_calls) == 1
+    assert np.max(np.abs(x1 - expected_x)) < 1e-14
+    assert np.max(np.abs(y1 - expected_y)) < 1e-14
+
+
 # ------------------------------------------------------------------ options
 
 
@@ -384,16 +441,30 @@ def test_consistent_data_are_solved_at_the_start(make, seed):
     ids=["consistent", "finite-shot"],
 )
 def test_step_size_is_computed_only_when_the_loop_runs(monkeypatch, problem, loop_runs):
-    calls = []
-
-    def counting(g):
-        calls.append(1)
-        return _largest_eigenvalue(g)
-
-    monkeypatch.setattr(solver, "_largest_eigenvalue", counting)
+    calls = spy(monkeypatch, "_largest_eigenvalue")
     res = mitigate(problem)
     assert (res.iterations > 0) is loop_runs
     assert len(calls) == int(loop_runs)
+
+
+@pytest.mark.parametrize("seed", [5000, 5001])
+def test_consistent_start_takes_no_simplex_step(monkeypatch, seed):
+    problem, _ = consistent_problem(seed)
+    projections = spy(monkeypatch, "project_to_density_set")
+    simplex_calls = spy(monkeypatch, "project_to_simplex")
+    res = mitigate(problem)
+    assert res.iterations == 0 and res.converged
+    assert len(projections) == 1
+    assert not simplex_calls
+
+
+@pytest.mark.parametrize("seed", [3, 7])
+def test_finite_shot_damping_problems_still_run_the_loop(monkeypatch, seed):
+    problem, _ = damping_shot_problem(seed)
+    simplex_calls = spy(monkeypatch, "project_to_simplex")
+    res = mitigate(problem)
+    assert res.iterations > 0 and res.converged
+    assert simplex_calls
 
 
 @pytest.mark.parametrize("ch", [rotation_y(0.7), random_channel(4, 3, seed=66)])
