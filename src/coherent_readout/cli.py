@@ -2,7 +2,8 @@
 
 Every command reads JSON files and returns one JSON document with its exit
 code; main writes the document to stdout (optionally mirrored to --out).
-Commands write only human-readable diagnostics, to stderr. Exit codes:
+Commands write only human-readable diagnostics, to stderr. main(argv) is the
+in-process API; run() is the process entry point. Exit codes:
 0 success, 1 domain failure (unphysical input, mismatched closed forms),
 2 malformed input or usage error. The oracle command is forward with
 --mode oracle.
@@ -11,7 +12,10 @@ Commands write only human-readable diagnostics, to stderr. Exit codes:
 from __future__ import annotations
 
 import argparse
+import contextlib
+import os
 import sys
+from typing import NoReturn
 
 import numpy as np
 
@@ -263,10 +267,39 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # a fault of the package, not of the input: still no traceback
-        detail = " ".join(str(exc).split())
-        print(f"error: internal {type(exc).__name__}: {detail}", file=sys.stderr)
+        print(_internal_error(exc), file=sys.stderr)
         return 1
 
 
+def _internal_error(exc) -> str:
+    detail = " ".join(str(exc).split())
+    return f"error: internal {type(exc).__name__}: {detail}"
+
+
+def run() -> NoReturn:
+    """Process entry point: main() on sys.argv, then end the process.
+
+    When main returns, its document is written and every file it opened is
+    closed, and the package registers no atexit handler. So run flushes the
+    standard streams and ends the process with os._exit, which skips
+    interpreter teardown (numpy's module finalization, the atexit hooks of
+    site-packages). A stream closed at start-up is None and is skipped; a
+    flush that fails ends in one error line and exit 1, never a traceback.
+    An exception main does not catch, such as KeyboardInterrupt, propagates
+    and ends the process the usual way.
+    """
+    code = main()
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            if stream is not None:
+                stream.flush()
+        except OSError as exc:
+            code = 1
+            with contextlib.suppress(OSError):
+                if sys.stderr is not None:
+                    print(_internal_error(exc), file=sys.stderr, flush=True)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -62,8 +62,11 @@ def three_qubit_channel_and_state(seed):
 
 def damping_shot_problem(seed):
     """Two-qubit amplitude damping (gamma in [0.5, 0.9]) with z from 200-500 shots of a
-    near-pure state, which no physical state explains exactly. Returns the problem and
-    the generating state's residual."""
+    near-pure state. Returns the problem and the generating state's residual.
+
+    Shot noise does not always leave the physical set: for some seeds (0, 4, 6, 21,
+    28) a state still explains z exactly and mitigate solves it at the start; for
+    others (3, 7, 8, 9, 13, 23) none does and the loop runs."""
     rng = np.random.default_rng(seed)
     g1, g2 = rng.uniform(0.5, 0.9, 2)
     model = model_of(tensor(amplitude_damping(g1), amplitude_damping(g2)))
@@ -391,15 +394,25 @@ def test_rejected_steps_count_as_iterations(seed):
     assert len(capped.residual_history) < capped.iterations + 1
 
 
-@pytest.mark.parametrize("seed", [0, 4, 6, 13, 21, 28])
+@pytest.mark.parametrize("seed", [3, 7, 8, 9, 13, 23])
 def test_finite_shot_damping_problems_stop_before_the_cap(seed):
     # No state explains these data exactly, so the solver must stop at a
     # stationary point well before the iteration cap.
     problem, generating_residual = damping_shot_problem(seed)
     res = mitigate(problem)
     assert res.converged
-    assert res.iterations < SolverOptions().max_iterations
+    assert 0 < res.iterations < SolverOptions().max_iterations
     assert res.residual <= generating_residual
+    DensityMatrix(assemble_matrix(res.x_hat, res.y_hat))
+
+
+@pytest.mark.parametrize("seed", [0, 4, 6, 21, 28])
+def test_finite_shot_damping_problems_a_state_explains_are_solved_at_the_start(seed):
+    problem, generating_residual = damping_shot_problem(seed)
+    res = mitigate(problem)
+    assert res.converged
+    assert res.iterations == 0
+    assert res.residual <= 1e-12 < generating_residual
     DensityMatrix(assemble_matrix(res.x_hat, res.y_hat))
 
 
