@@ -5,8 +5,9 @@ measurement operators F_k = E^dag(|k><k|) of the pre-measurement channel E.
 Their diagonals form the classical assignment matrix A; their off-diagonal
 parts form a coherence-response matrix C, and the observed distribution is
 z = A x + C y in the real state coordinates (x, y). This package extracts
-(A, C) from Kraus channels, cross-checks predictions against the full
-superoperator, and inverts the model under physicality constraints.
+(A, C) from Kraus channels, cross-checks predictions against the channel
+applied to the state and the kernel read off its superoperator, and inverts
+the model under physicality constraints.
 """
 
 from .channels import (

@@ -4,8 +4,8 @@ A channel E acts as E(rho) = sum_a E_a rho E_a^dag with the trace-preserving
 completeness condition sum_a E_a^dag E_a = I. The module provides validated
 channel construction, Schroedinger- and Heisenberg-picture application, the
 standard single-qubit noise zoo, tensor/composition combinators, and the
-column-stacked superoperator matrix used as an independent cross-check of
-the readout model.
+column-stacked superoperator matrix, from which povm.kernel_diag_defect
+reads the kernel as an independent cross-check of the readout model.
 
 A KrausChannel holds its operators as one read-only K x N x N complex array
 indexed [a, i, j], laid out and validated by its constructor; every function
@@ -195,8 +195,10 @@ def compose(outer: KrausChannel, inner: KrausChannel) -> KrausChannel:
 def superoperator(ch: KrausChannel) -> np.ndarray:
     """Column-stacking superoperator H = sum_a conj(E_a) (x) E_a.
 
-    Satisfies vec(E(rho)) = H @ vec(rho) for the column-stacked vec, giving a
-    full linear-map representation independent of any measurement model.
+    Satisfies vec(E(rho)) = H @ vec(rho), where vec stacks the columns of an
+    N x N matrix (entry (r, c) lands at index c*N + r; in numpy
+    m.reshape(-1, order="F")). Column l + rN of H is therefore vec(E(|l><r|)):
+    a full linear-map representation independent of any measurement model.
     """
     ops = ch.kraus_ops
     n2 = ch.dim * ch.dim

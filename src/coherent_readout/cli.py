@@ -1,12 +1,13 @@
 """Command-line front end.
 
-Every command reads JSON files and returns one JSON document with its exit
-code; main writes the document to stdout (optionally mirrored to --out).
-Commands write only human-readable diagnostics, to stderr. main(argv) is the
-in-process API; run() is the process entry point. Exit codes:
-0 success, 1 domain failure (unphysical input, mismatched closed forms),
-2 malformed input or usage error. The oracle command is forward with
---mode oracle.
+Every command reads JSON files and returns one JSON document, its exit code
+and an optional human-readable diagnostic; main writes the diagnostic to
+stderr, then the document to stdout (optionally mirrored to --out). A stderr
+that is closed or fails loses only the diagnostic, never the document.
+main(argv) is the in-process API; run() is the process entry point. Exit
+codes: 0 success, 1 domain failure (unphysical input, mismatched closed
+forms), 2 malformed input or usage error. The oracle command is forward
+with --mode oracle.
 """
 
 from __future__ import annotations
@@ -25,6 +26,13 @@ from .states import decompose
 
 _SAMPLE_DEFAULT_SEED = 0
 _MAX_SHOTS = 2**63 - 1  # rng.multinomial takes its number of trials as an int64
+
+
+def _warn(text: str) -> None:
+    """Write text to stderr; a stderr closed at start-up (None) or failing drops it."""
+    if sys.stderr is not None:
+        with contextlib.suppress(OSError):
+            print(text, file=sys.stderr, flush=True)
 
 
 def _emit(obj, out_path) -> None:
@@ -53,14 +61,13 @@ def _load_model_or_extract(args, ch=None) -> readout.ReadoutModel:
     return readout.extract(povm.effective_povm(ch))
 
 
-def cmd_channel_validate(args) -> tuple[dict, int]:
+def cmd_channel_validate(args) -> tuple[dict, int, str | None]:
     dim, ops = formats.channel_ops_from_obj(formats.load_json_file(args.channel))
     report = channels.validate_cptp(ops)
     result = {"dim": dim, "cptp_defect": report.defect, "cptp_pass": report.passed}
     if not report.passed:
         result["pass"] = False
-        print(f"trace preservation violated: defect {report.defect:.3e}", file=sys.stderr)
-        return result, 1
+        return result, 1, f"trace preservation violated: defect {report.defect:.3e}"
 
     ch = channels.KrausChannel(dim, ops)
     p = povm.effective_povm(ch)
@@ -80,24 +87,23 @@ def cmd_channel_validate(args) -> tuple[dict, int]:
             "pass": check.passed,
         }
     )
-    print(
+    note = (
         f"cptp defect {report.defect:.3e}, povm defects "
-        f"({herm:.3e}, {pos:.3e}, {comp:.3e}), kernel diag defect {kd:.3e}",
-        file=sys.stderr,
+        f"({herm:.3e}, {pos:.3e}, {comp:.3e}), kernel diag defect {kd:.3e}"
     )
-    return result, 0 if check.passed else 1
+    return result, 0 if check.passed else 1, note
 
 
-def cmd_model_extract(args) -> tuple[dict, int]:
+def cmd_model_extract(args) -> tuple[dict, int, str | None]:
     ch = _load_channel(args.channel)
     model = readout.extract(povm.effective_povm(ch))
     obj = formats.model_to_obj(model)
     obj["nonclassicality_max"] = readout.nonclassicality(model, "max")
     obj["nonclassicality_frobenius"] = readout.nonclassicality(model, "frobenius")
-    return obj, 0
+    return obj, 0, None
 
 
-def cmd_forward(args) -> tuple[dict, int]:
+def cmd_forward(args) -> tuple[dict, int, str | None]:
     mode = args.mode
     if mode != "model" and not args.channel:
         raise formats.FormatError("oracle mode needs --channel")
@@ -118,10 +124,10 @@ def cmd_forward(args) -> tuple[dict, int]:
         out["z_oracle" if mode == "both" else "z"] = z_oracle.tolist()
     if mode == "both":
         out["max_discrepancy"] = float(np.max(np.abs(z_model - z_oracle)))
-    return out, 0
+    return out, 0, None
 
 
-def cmd_sample(args) -> tuple[dict, int]:
+def cmd_sample(args) -> tuple[dict, int, str | None]:
     if args.shots < 1:
         raise formats.FormatError("--shots must be >= 1")
     if args.shots > _MAX_SHOTS:
@@ -137,10 +143,10 @@ def cmd_sample(args) -> tuple[dict, int]:
     z = z / z.sum()
     rng = np.random.default_rng(args.seed)
     counts = rng.multinomial(args.shots, z)
-    return {"shots": args.shots, "seed": args.seed, "counts": counts.tolist()}, 0
+    return {"shots": args.shots, "seed": args.seed, "counts": counts.tolist()}, 0, None
 
 
-def cmd_mitigate(args) -> tuple[dict, int]:
+def cmd_mitigate(args) -> tuple[dict, int, str | None]:
     try:
         options = solver.SolverOptions(max_iterations=args.max_iters, residual_tol=args.tol)
     except ValueError as exc:
@@ -153,10 +159,9 @@ def cmd_mitigate(args) -> tuple[dict, int]:
         raise formats.FormatError("need --z or --counts")
     z = formats.distribution_from_obj(formats.load_json_file(source), model.dim)
     result = solver.mitigate(solver.MitigationProblem(model, z), options)
-    print(
+    note = (
         f"residual {result.residual:.3e} after {result.iterations} iterations "
-        f"(converged: {result.converged})",
-        file=sys.stderr,
+        f"(converged: {result.converged})"
     )
     return {
         "x": result.x_hat.tolist(),
@@ -164,11 +169,12 @@ def cmd_mitigate(args) -> tuple[dict, int]:
         "residual": result.residual,
         "iterations": result.iterations,
         "converged": result.converged,
-    }, 0
+    }, 0, note
 
 
-def cmd_paper_examples(args) -> tuple[dict, int]:
+def cmd_paper_examples(args) -> tuple[dict, int, str | None]:
     records = []
+    lines = []
     all_pass = True
     for name, parameter, ch, a_exp, c_exp in readout.closed_form_zoo():
         model = readout.extract(povm.effective_povm(ch))
@@ -190,9 +196,8 @@ def cmd_paper_examples(args) -> tuple[dict, int]:
                 "pass": ok,
             }
         )
-        print(f"{name}({parameter:g}): max error {err:.3e} ({'ok' if ok else 'MISMATCH'})",
-              file=sys.stderr)
-    return {"examples": records, "pass": all_pass}, 0 if all_pass else 1
+        lines.append(f"{name}({parameter:g}): max error {err:.3e} ({'ok' if ok else 'MISMATCH'})")
+    return {"examples": records, "pass": all_pass}, 0 if all_pass else 1, "\n".join(lines)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -222,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--state", required=True)
     p.add_argument("--mode", choices=["model", "oracle", "both"], default="model")
 
-    p = add("oracle", cmd_forward, "predict via the full superoperator route")
+    p = add("oracle", cmd_forward, "predict by applying the channel to the state")
     p.set_defaults(mode="oracle", model=None)
     p.add_argument("--channel", required=True)
     p.add_argument("--state", required=True)
@@ -257,17 +262,19 @@ def main(argv=None) -> int:
     try:
         # Overflow is judged by the validators; numpy's warnings would only add stderr lines.
         with np.errstate(all="ignore"):
-            document, code = args.func(args)
+            document, code, note = args.func(args)
+            if note is not None:
+                _warn(note)
             _emit(document, args.out)
             return code
     except formats.FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _warn(f"error: {exc}")
         return 2
     except (ValueError, np.linalg.LinAlgError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _warn(f"error: {exc}")
         return 1
     except Exception as exc:  # a fault of the package, not of the input: still no traceback
-        print(_internal_error(exc), file=sys.stderr)
+        _warn(_internal_error(exc))
         return 1
 
 
@@ -280,24 +287,21 @@ def run() -> NoReturn:
     """Process entry point: main() on sys.argv, then end the process.
 
     When main returns, its document is written and every file it opened is
-    closed, and the package registers no atexit handler. So run flushes the
-    standard streams and ends the process with os._exit, which skips
-    interpreter teardown (numpy's module finalization, the atexit hooks of
-    site-packages). A stream closed at start-up is None and is skipped; a
-    flush that fails ends in one error line and exit 1, never a traceback.
-    An exception main does not catch, such as KeyboardInterrupt, propagates
-    and ends the process the usual way.
+    closed, its diagnostics are flushed as they are written, and the package
+    registers no atexit handler. So run flushes stdout and ends the process
+    with os._exit, which skips interpreter teardown (numpy's module
+    finalization, the atexit hooks of site-packages). A stdout closed at
+    start-up is None and is skipped; a flush that fails ends in one error
+    line and exit 1, never a traceback. An exception main does not catch,
+    such as KeyboardInterrupt, propagates and ends the process the usual way.
     """
     code = main()
-    for stream in (sys.stdout, sys.stderr):
-        try:
-            if stream is not None:
-                stream.flush()
-        except OSError as exc:
-            code = 1
-            with contextlib.suppress(OSError):
-                if sys.stderr is not None:
-                    print(_internal_error(exc), file=sys.stderr, flush=True)
+    try:
+        if sys.stdout is not None:
+            sys.stdout.flush()
+    except OSError as exc:
+        code = 1
+        _warn(_internal_error(exc))
     os._exit(code)
 
 

@@ -123,15 +123,3 @@ def identity_defect(s: np.ndarray) -> float:
     s.flat[:: s.shape[0] + 1] -= 1.0
     return float(np.abs(s).max())
 
-
-def vec(m) -> np.ndarray:
-    """Column-stacked vectorization: entry (r, c) lands at index c*N + r."""
-    return as_square_array(m).reshape(-1, order="F")
-
-
-def unvec(v, dim: int) -> np.ndarray:
-    """Inverse of vec for a dim x dim matrix."""
-    a = np.asarray(v, dtype=complex)
-    if a.ndim != 1 or a.size != dim * dim:
-        raise ValueError(f"expected a flat vector of length {dim * dim}, got shape {a.shape}")
-    return a.reshape((dim, dim), order="F")

@@ -4,7 +4,9 @@ Measuring in the computational basis after a channel E is the same as
 measuring the POVM F_k = E^dag(|k><k|) on the noiseless state. The
 operator-valued kernel K(s, t) = E(|s><t|) tracks where each matrix unit
 goes; its diagonal elements <k|K(l, r)|k| for l != r are exactly the terms a
-purely classical assignment-matrix model cannot represent.
+purely classical assignment-matrix model cannot represent. The kernel is the
+channel's superoperator read column by column, and kernel_diag_defect reads
+all those diagonal elements off it at once, apart from the POVM route.
 
 effective_povm is the one builder of the elements and validate_povm the one
 validator of the POVM axioms (hermiticity, positivity, completeness): Povm
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channels import KrausChannel, apply
+from .channels import KrausChannel, apply, superoperator
 from .linalg import (
     ATOL_PHYSICAL,
     Frozen,
@@ -129,14 +131,15 @@ def kernel(ch: KrausChannel, s: int, t: int) -> np.ndarray:
 
 
 def kernel_diag_defect(ch: KrausChannel) -> float:
-    """max over k and l != r of |<k| E(|l><r|) |k>|; zero iff the readout is classical."""
-    worst = 0.0
-    for l in range(ch.dim):
-        for r in range(ch.dim):
-            if l == r:
-                continue
-            worst = max(worst, float(np.max(np.abs(kernel(ch, l, r).diagonal()))))
-    return worst
+    """max over k and l != r of |<k| E(|l><r|) |k>|; zero iff the readout is classical.
+
+    Column l + rN of the superoperator is vec(K(l, r)). Its entries
+    <k|K(l, r)|k> sit in rows k(N + 1), the diagonal positions under either
+    stacking, and the columns with l != r are the off-diagonal units.
+    """
+    n = ch.dim
+    diagonals = superoperator(ch)[:: n + 1, ~np.eye(n, dtype=bool).reshape(-1)]
+    return float(np.max(np.abs(diagonals), initial=0.0))
 
 
 def offdiag_defect(p: Povm) -> float:

@@ -8,18 +8,19 @@ The factor 2 absorbs the two conjugate off-diagonal terms of Tr(F_k rho),
 so the identity z_k = Tr(F_k rho) = (A x + C y)_k holds literally in the
 coordinates of states.StateDecomposition.
 
-oracle_probabilities reproduces z through the full superoperator without
-touching the POVM coefficient path, which pins every sign and ordering
-convention above. closed_form_zoo lists the built-in channels whose (A, C)
-is known in closed form.
+oracle_probabilities reproduces z as the Born rule on E(rho), the channel
+applied to the state in the Schroedinger picture, without touching the POVM
+coefficient path (the Heisenberg picture), which pins every sign and
+ordering convention above. closed_form_zoo lists the built-in channels
+whose (A, C) is known in closed form.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .channels import KrausChannel, amplitude_damping, dephasing, rotation_y, superoperator
-from .linalg import ATOL_PHYSICAL, ATOL_STRUCTURAL, Frozen, unvec, vec
+from .channels import KrausChannel, amplitude_damping, apply, dephasing, rotation_y
+from .linalg import ATOL_PHYSICAL, ATOL_STRUCTURAL, Frozen
 from .povm import Povm
 from .states import DensityMatrix, StateDecomposition, assemble_matrix, pack_coherences
 
@@ -88,16 +89,16 @@ def classical_forward(model: ReadoutModel, x) -> np.ndarray:
 
 
 def oracle_probabilities(ch: KrausChannel, rho) -> np.ndarray:
-    """Outcome distribution via the superoperator: diag of unvec(H vec(rho)).
+    """Outcome distribution by the Born rule on the channel's output: diag of E(rho).
 
-    Independent of the POVM/coefficient route; used to cross-check forward().
+    E(rho) = sum_a E_a rho E_a^dag is applied to the state itself, so this
+    is independent of the POVM/coefficient route; used to cross-check forward().
     """
     if not isinstance(rho, DensityMatrix):
         rho = DensityMatrix(rho)
     if rho.dim != ch.dim:
         raise ValueError(f"dimension mismatch: channel {ch.dim}, state {rho.dim}")
-    out = unvec(superoperator(ch) @ vec(rho.matrix), ch.dim)
-    return out.diagonal().real.copy()
+    return apply(ch, rho.matrix).diagonal().real.copy()
 
 
 def nonclassicality(model: ReadoutModel, norm: str = "max") -> float:

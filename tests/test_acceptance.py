@@ -6,8 +6,9 @@ Seven criteria, one test each, every test printing a single summary line
     ACCEPTANCE <k>: PASS - <detail>
 
 1. Built-in noise zoo matches its closed-form models entrywise, < 1 s.
-2. Coefficient-path forward agrees with the superoperator oracle over 200
-   random channel/state pairs at 1, 2, 3 qubits, < 30 s.
+2. Coefficient-path forward agrees with the oracle (the Born rule on the
+   channel's output state) over 200 random channel/state pairs at 1, 2, 3
+   qubits, < 30 s.
 3. Pauli channels are exactly classical; the unitary y-rotation carries
    nonclassicality |sin t| and kernel diagonality defect |sin t|/2.
 4. Every extracted model has assignment columns summing to 1 and coherence

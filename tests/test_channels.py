@@ -3,9 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_hermitian
+from conftest import random_complex, random_hermitian
 from coherent_readout import channels
-from coherent_readout.linalg import unvec, vec
 from coherent_readout.povm import Povm
 from coherent_readout.readout import ReadoutModel
 from coherent_readout.solver import MitigationProblem
@@ -337,12 +336,26 @@ def test_superoperator_dephasing_is_diagonal(lam):
 @given(dim_exp=st.integers(1, 2), n_kraus=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=30, deadline=None)
 def test_superoperator_reproduces_apply(dim_exp, n_kraus, seed):
+    # vec stacks columns: entry (r, c) of a matrix lands at index c*N + r.
     dim = 2**dim_exp
     ch = channels.random_channel(dim, n_kraus, seed)
     rho = random_density(dim_exp, seed + 1).matrix
     direct = channels.apply(ch, rho)
-    via_h = unvec(channels.superoperator(ch) @ vec(rho), dim)
+    via_h = (channels.superoperator(ch) @ rho.reshape(-1, order="F")).reshape(dim, dim, order="F")
     assert np.max(np.abs(direct - via_h)) < 1e-12
+
+
+@given(dim=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_vec_intertwines_kron(dim, seed):
+    # The identity vec(A X B) = (B^T kron A) vec(X) underpins the
+    # superoperator construction; pin it for the column-stacked vec.
+    a = random_complex(dim, seed)
+    x = random_complex(dim, seed + 1)
+    b = random_complex(dim, seed + 2)
+    lhs = (a @ x @ b).reshape(-1, order="F")
+    rhs = np.kron(b.T, a) @ x.reshape(-1, order="F")
+    assert np.max(np.abs(lhs - rhs)) < 1e-10 * max(1.0, np.max(np.abs(lhs)))
 
 
 @pytest.mark.parametrize("dim,n_kraus", [(2, 1), (2, 5), (4, 3), (8, 2)])

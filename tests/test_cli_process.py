@@ -1,10 +1,10 @@
 """The CLI as a process: python -m coherent_readout.cli, whose entry is run().
 
-run() flushes the standard streams and ends the process with os._exit, so
+run() flushes stdout and ends the process with os._exit, so
 these tests check that nothing is lost on the way out: the document arrives
 whole through a pipe and in the --out file, exit codes and stderr are those
-of main() in process, and closed or failing streams never end in a
-traceback.
+of main() in process, a stderr that cannot be written costs only the
+diagnostics, and closed or failing streams never end in a traceback.
 """
 
 import io
@@ -97,6 +97,32 @@ def test_closed_stdout_exits_zero(capsys, monkeypatch):
     assert proc.stderr.decode() == stderr
 
 
+@pytest.mark.parametrize(
+    "redirect",
+    # 2>&- leaves sys.stderr None; a descriptor 2 open for reading only (as a
+    # launcher may leave it) gives a sys.stderr whose every write fails.
+    ["2>&-", "2</dev/null"],
+    ids=["closed", "read-only"],
+)
+@pytest.mark.parametrize("command", ["channel-validate", "mitigate", "paper-examples"])
+def test_unwritable_stderr_keeps_the_document(capsys, monkeypatch, write_json, command, redirect):
+    argv = {
+        "channel-validate": ["channel-validate", "--channel",
+                             write_json("ch.json", channel_to_obj(random_channel(8, 3, seed=15)))],
+        "mitigate": ["mitigate", "--channel", write_json("ch.json", AMP_DAMP),
+                     "--z", write_json("z.json", {"z": [0.6, 0.4]})],
+        "paper-examples": ["paper-examples"],
+    }[command]
+    proc = subprocess.run(
+        ["sh", "-c", f'exec "$0" -m coherent_readout.cli "$@" {redirect}', sys.executable, *argv],
+        env=child_env(), stdin=subprocess.DEVNULL, stdout=subprocess.PIPE, timeout=120,
+    )
+    code, stdout, stderr = in_process(capsys, monkeypatch, argv)
+    assert code == 0 and stderr
+    assert proc.returncode == 0
+    assert proc.stdout.decode() == stdout
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 def test_full_device_is_one_error_line(write_json):
     # The document fits in the stdout buffer, so the write fails at run()'s flush.
@@ -130,8 +156,12 @@ def test_failed_flush_is_one_error_line_and_exit_one(monkeypatch, exits, stderr_
     monkeypatch.setattr(sys, "stderr", stderr if stderr_open else None)
     cli.run()
     assert exits == [1]
-    # Without stderr, print sends main's diagnostics to stdout as well.
-    assert stdout.getvalue().endswith('  "pass": true\n}\n')
+    # Without stderr, main's diagnostics are dropped, not sent to stdout.
+    document = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", document)
+    monkeypatch.setattr(sys, "stderr", io.StringIO())
+    assert main(["paper-examples"]) == 0
+    assert stdout.getvalue() == document.getvalue()
     lines = stderr.getvalue().splitlines()
     assert lines[-1:] == (["error: internal OSError: [Errno 28] No space left on device"] if stderr_open else [])
     assert not any("Traceback" in line for line in lines)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_complex, random_hermitian
-from coherent_readout.linalg import hermiticity_and_min_eigenvalue, unvec, vec
+from coherent_readout.linalg import hermiticity_and_min_eigenvalue
 
 
 def min_eigenvalue(m):
@@ -109,32 +109,3 @@ def test_eigh_jacobi_eigenpairs():
     _, _, vh = np.linalg.svd(m - w * np.eye(5))
     v = vh[-1].conj()
     assert np.max(np.abs(m @ v - w * v)) < 1e-11
-
-
-def test_vec_is_column_stacked():
-    m = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=complex)
-    assert np.array_equal(vec(m), [1.0, 3.0, 2.0, 4.0])
-
-
-def test_unvec_rejects_wrong_length():
-    with pytest.raises(ValueError):
-        unvec(np.zeros(3), 2)
-
-
-@given(dim=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
-def test_vec_unvec_roundtrip_exact(dim, seed):
-    m = random_complex(dim, seed)
-    assert np.array_equal(unvec(vec(m), dim), m)
-
-
-@given(dim=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
-@settings(max_examples=40, deadline=None)
-def test_vec_intertwines_kron(dim, seed):
-    # The identity vec(A X B) = (B^T kron A) vec(X) underpins the
-    # superoperator construction; pin it for the column-stacked vec.
-    a = random_complex(dim, seed)
-    x = random_complex(dim, seed + 1)
-    b = random_complex(dim, seed + 2)
-    lhs = vec(a @ x @ b)
-    rhs = np.kron(b.T, a) @ vec(x)
-    assert np.max(np.abs(lhs - rhs)) < 1e-10 * max(1.0, np.max(np.abs(lhs)))

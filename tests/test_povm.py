@@ -178,6 +178,27 @@ def test_kernel_rejects_bad_indices():
 def test_kernel_diag_defect_classical_channels():
     assert povm.kernel_diag_defect(dephasing(0.5)) == 0.0
     assert povm.kernel_diag_defect(amplitude_damping(0.3)) == 0.0
+    probs = np.random.default_rng(5).dirichlet(np.ones(16))
+    assert povm.kernel_diag_defect(pauli_channel(probs)) == 0.0
+    assert povm.kernel_diag_defect(identity(1)) == 0.0  # no l != r pair at all
+
+
+def kernel_diag_defect_by_units(ch):
+    """The defect from one kernel() call per matrix unit |l><r|, l != r."""
+    return max(
+        float(np.max(np.abs(povm.kernel(ch, l, r).diagonal())))
+        for l in range(ch.dim)
+        for r in range(ch.dim)
+        if l != r
+    )
+
+
+@pytest.mark.parametrize("n_qubits", [1, 2, 3, 4])
+@pytest.mark.parametrize("n_kraus", [1, 2, 3, 4])
+def test_kernel_diag_defect_matches_unit_by_unit_kernel(n_qubits, n_kraus):
+    for seed in range(3):
+        ch = random_channel(2**n_qubits, n_kraus, seed=100 * n_qubits + 10 * n_kraus + seed)
+        assert abs(povm.kernel_diag_defect(ch) - kernel_diag_defect_by_units(ch)) <= 1e-15
 
 
 @pytest.mark.parametrize("theta", [0.3, 1.0, np.pi / 2, 3.0])

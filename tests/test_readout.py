@@ -1,7 +1,7 @@
-"""Model extraction and the forward map, cross-checked against the
-superoperator oracle.
+"""Model extraction and the forward map, cross-checked against the oracle.
 
-The oracle never touches the POVM coefficient path, so agreement between
+The oracle applies the channel to the state and reads the Born-rule
+diagonal; it never touches the POVM coefficient path, so agreement between
 forward() and oracle_probabilities() pins the column layout and every sign
 convention in the coherence response at once.
 """
@@ -19,6 +19,7 @@ from coherent_readout.channels import (
     pauli_channel,
     random_channel,
     rotation_y,
+    superoperator,
 )
 from coherent_readout import povm
 from coherent_readout.povm import Povm, effective_povm
@@ -293,6 +294,19 @@ def test_oracle_identity_reads_populations():
 def test_oracle_full_damping_concentrates_on_ground():
     z = oracle_probabilities(amplitude_damping(1.0), random_density(1, 9))
     assert np.max(np.abs(z - [1.0, 0.0])) < 1e-15
+
+
+@pytest.mark.parametrize("n_qubits", [1, 2, 3])
+@pytest.mark.parametrize("n_kraus", [1, 2, 4])
+def test_oracle_matches_superoperator_diagonal(n_qubits, n_kraus):
+    # vec(E(rho)) = H vec(rho) with column-stacked vec; the diagonal of
+    # E(rho) sits at indices k(N + 1).
+    dim = 2**n_qubits
+    for seed in range(3):
+        ch = random_channel(dim, n_kraus, seed=50 * n_qubits + 5 * n_kraus + seed)
+        rho = random_density(n_qubits, seed + 7)
+        via_h = (superoperator(ch) @ rho.matrix.reshape(-1, order="F"))[:: dim + 1].real
+        assert np.max(np.abs(oracle_probabilities(ch, rho) - via_h)) <= 1e-15
 
 
 def test_oracle_rejects_dimension_mismatch():
