@@ -71,7 +71,7 @@ def cmd_channel_validate(args) -> tuple[dict, int, str | None]:
 
     ch = channels.KrausChannel(dim, ops)
     p = povm.effective_povm(ch)
-    check = p.report
+    check = povm.validate_povm(p.elements)
     herm, pos, comp = check.hermiticity_defect, check.positivity_defect, check.completeness_defect
     kd = povm.kernel_diag_defect(ch)
     od = povm.offdiag_defect(p)

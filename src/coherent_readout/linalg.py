@@ -2,9 +2,13 @@
 
 Everything operates on plain numpy arrays (complex128, square, dense).
 Matrices here are small: the package targets desk-scale problems, N <= 64.
-Hermitian eigenproblems go to LAPACK through numpy.linalg. Frozen, the base
-of the package's value types, lives here because every module imports this
-one.
+Hermitian eigenproblems go to LAPACK through numpy.linalg. Positivity is
+decided in two steps: cholesky_gate accepts a Hermitian matrix (or stack)
+whose Cholesky factorization after a shift by tol succeeds, at a fraction of
+the cost of an eigensolve, and only what it declines goes on to the
+smallest eigenvalue, which alone rejects and measures the defect. Frozen,
+the base of the package's value types, lives here because every module
+imports this one.
 """
 
 from __future__ import annotations
@@ -22,9 +26,9 @@ class Frozen:
 
     A subclass names its constructor fields in __match_args__ and all its
     attributes in __slots__, and sets them in its own __init__ through
-    _set; attributes outside __match_args__ (such as Povm.report) are left
-    out of repr, == and hash. Array fields compare with np.array_equal, and
-    hash works only where no field is an array.
+    _set; attributes outside __match_args__ are left out of repr, == and
+    hash. Array fields compare with np.array_equal, and hash works only
+    where no field is an array.
     """
 
     __slots__ = ()
@@ -97,21 +101,54 @@ def as_square_stack(ms, name: str = "matrices") -> np.ndarray:
     return a
 
 
-def hermiticity_and_min_eigenvalue(m) -> tuple[float, float]:
-    """Worst entry of |m - m^dag| and smallest eigenvalue of the Hermitian part.
+def hermiticity_and_part(m) -> tuple[float, np.ndarray]:
+    """Worst entry of |m - m^dag| and the Hermitian part of m.
 
     m is one N x N matrix or a K x N x N stack, already checked for shape
-    (as_square_array, as_square_stack); both numbers are taken over the
-    whole stack. The Hermitian part is formed as m/2 + m^dag/2, which stays
-    finite for every finite m, so the eigenvalue measures entries up to the
-    edge of the float range instead of turning into NaN. The difference
-    m - m^dag can overflow there; its inf is a defect every caller rejects.
+    (as_square_array, as_square_stack); the defect is taken over the whole
+    stack. The difference m - m^dag can overflow, or meet inf - inf; its inf
+    or NaN is a defect every caller rejects, so neither warns. An exactly
+    Hermitian m is its own Hermitian part and is returned as it is;
+    otherwise the part is formed as m/2 + m^dag/2, which stays finite for
+    every finite m.
     """
     a = np.asarray(m, dtype=complex)
     a_dag = a.conj().swapaxes(-1, -2)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         hermiticity = float(np.abs(a - a_dag).max())
-    return hermiticity, float(np.linalg.eigvalsh(a / 2.0 + a_dag / 2.0).min())
+        return hermiticity, a if hermiticity == 0.0 else a / 2.0 + a_dag / 2.0
+
+
+def hermiticity_and_min_eigenvalue(m) -> tuple[float, float]:
+    """Worst entry of |m - m^dag| and smallest eigenvalue of the Hermitian part.
+
+    Both numbers are taken over the whole stack (hermiticity_and_part); the
+    eigenvalue measures entries up to the edge of the float range instead
+    of turning into NaN.
+    """
+    hermiticity, h = hermiticity_and_part(m)
+    return hermiticity, float(np.linalg.eigvalsh(h).min())
+
+
+def cholesky_gate(h: np.ndarray, tol: float) -> bool:
+    """True if every matrix of the Hermitian h (N x N or K x N x N) has no eigenvalue below -tol.
+
+    An accept-only test: it passes when the Cholesky factorization of
+    h + tol I succeeds for the whole stack and gives a finite factor, which
+    happens exactly when the smallest eigenvalue exceeds -tol, up to
+    rounding (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
+    ed., ch. 10). A False proves nothing: callers then take the smallest
+    eigenvalue, which alone rejects and reports the defect. Only the lower
+    triangle of h is read, so h must be exactly Hermitian, as
+    hermiticity_and_part returns it. NaN and inf are declined, and so is a
+    matrix whose factorization overflows near the float range.
+    """
+    shifted = h + tol * np.eye(h.shape[-1]) if tol else h
+    try:
+        factor = np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        return False
+    return bool(np.isfinite(factor).all())
 
 
 def identity_defect(s: np.ndarray) -> float:

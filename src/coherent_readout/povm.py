@@ -9,10 +9,14 @@ channel's superoperator read column by column, and kernel_diag_defect reads
 all those diagonal elements off it at once, apart from the POVM route.
 
 effective_povm is the one builder of the elements and validate_povm the one
-validator of the POVM axioms (hermiticity, positivity, completeness): Povm
-keeps its report and raises from it, and channel-validate prints it. A Povm
-holds its elements as one read-only N x N x N complex array indexed
-[k, i, j], laid out by its constructor.
+validator of the POVM axioms (hermiticity, positivity, completeness), which
+measures every defect, positivity by the smallest eigenvalue of the stack.
+Povm accepts a stack that passes the hermiticity and completeness checks and
+linalg.cholesky_gate without it; anything else goes to validate_povm, which
+raises. A Povm keeps no report: channel-validate runs validate_povm on its
+elements for the defects it prints. A Povm holds its elements as one
+read-only N x N x N complex array indexed [k, i, j], laid out by its
+constructor.
 """
 
 from __future__ import annotations
@@ -24,7 +28,9 @@ from .linalg import (
     ATOL_PHYSICAL,
     Frozen,
     as_square_stack,
+    cholesky_gate,
     hermiticity_and_min_eigenvalue,
+    hermiticity_and_part,
     identity_defect,
 )
 
@@ -52,6 +58,12 @@ class PovmReport(Frozen):
         )
 
 
+def _completeness_defect(f: np.ndarray) -> float:
+    """Worst entry of |sum_k F_k - I| for a stack f of finite elements."""
+    with np.errstate(over="ignore"):  # an overflowing sum is an inf defect, which fails
+        return identity_defect(f.sum(axis=0))
+
+
 def validate_povm(elements) -> PovmReport:
     """Worst hermiticity, positivity and completeness defects of a stack of elements.
 
@@ -66,8 +78,7 @@ def validate_povm(elements) -> PovmReport:
         raise ValueError("POVM elements contain non-finite entries")
     hermiticity, w_min = hermiticity_and_min_eigenvalue(f)
     positivity = 0.0 if w_min >= 0.0 else -w_min
-    with np.errstate(over="ignore"):  # an overflowing sum is an inf defect, which fails
-        completeness = identity_defect(f.sum(axis=0))
+    completeness = _completeness_defect(f)
     return PovmReport(
         hermiticity_defect=hermiticity,
         positivity_defect=positivity,
@@ -82,12 +93,13 @@ class Povm(Frozen):
     elements may be given as any sequence of N x N arrays; it is stored as a
     read-only N x N x N complex copy, so later changes to the caller's arrays
     do not reach the POVM. dim is the stack's N; the argument is only
-    checked against it. report is the validate_povm result it passed; it
-    is not a field, so repr and == leave it out.
+    checked against it. A stack that passes the hermiticity and
+    completeness checks and the Cholesky gate is accepted as it is; any
+    other goes to validate_povm, whose report raises (non-finite entries
+    always fail the hermiticity check, so validate_povm names them).
     """
 
-    __match_args__ = ("dim", "elements")
-    __slots__ = (*__match_args__, "report")
+    __slots__ = __match_args__ = ("dim", "elements")
 
     def __init__(self, dim: int, elements):
         elems = as_square_stack(elements, name="POVM elements").copy()
@@ -99,8 +111,14 @@ class Povm(Frozen):
             )
         if elems.shape[1] != dim:
             raise ValueError(f"POVM elements have dimension {elems.shape[1]}, expected {dim}")
+        hermiticity, h = hermiticity_and_part(elems)
+        if (
+            hermiticity <= ATOL_PHYSICAL
+            and _completeness_defect(elems) <= ATOL_PHYSICAL
+            and cholesky_gate(h, ATOL_PHYSICAL)
+        ):
+            return
         report = validate_povm(elems)
-        self._set(report=report)
         for axiom, defect in (
             ("hermiticity", report.hermiticity_defect),
             ("positivity", report.positivity_defect),

@@ -17,7 +17,11 @@ I = sum_k F_k, nearest I/N. That is the spectral projection of a
 linear-inversion estimate (Smolin, Gambetta & Smith, PRL 108, 070502,
 2012). When v* is a state, it is its own projection and is taken as it
 is, with no simplex step or rebuild: consistent data are then solved in
-closed form, by the consistent state nearest I/N, the least pure one.
+closed form, by the consistent state nearest I/N, the least pure one. The
+start's projection first tries a Cholesky factorization, which takes a
+positive definite v* of unit trace without an eigensolve; the loop's
+projections, whose iterates mostly lie on the boundary, go straight to the
+eigensolve.
 
 The steps are accelerated with FISTA momentum (Beck & Teboulle, SIAM J.
 Imaging Sci. 2, 183, 2009) and made monotone by a function-value restart
@@ -35,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import Frozen
+from .linalg import Frozen, cholesky_gate
 from .readout import ReadoutModel
 from .states import assemble_matrix, split_matrix
 
@@ -109,7 +113,7 @@ def project_to_simplex(u) -> np.ndarray:
         return np.maximum(u + tau, 0.0)
 
 
-def project_to_density_set(x, y) -> tuple[np.ndarray, np.ndarray]:
+def project_to_density_set(x, y, gate: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Map raw coordinates to those of the nearest density matrix.
 
     Reconstructs the Hermitian matrix and projects its spectrum onto the
@@ -124,9 +128,15 @@ def project_to_density_set(x, y) -> tuple[np.ndarray, np.ndarray]:
     A state is its own projection and is returned as it is, in new arrays:
     where no eigenvalue is negative and the trace is within 1e-12 of 1,
     the projection would move the point by at most that trace error, which
-    mitigate() already counts as no move.
+    mitigate() already counts as no move. With gate, a positive definite
+    matrix of such a trace is recognised by linalg.cholesky_gate with no
+    shift, before any eigensolve; a matrix the gate declines, a
+    rank-deficient state among them, takes the eigensolve as without it.
     """
-    w, v = np.linalg.eigh(assemble_matrix(x, y))
+    m = assemble_matrix(x, y)
+    if gate and abs(np.sum(x) - 1.0) <= _DISPLACEMENT_TOL and cholesky_gate(m, 0.0):
+        return np.array(x, dtype=float), np.array(y, dtype=float)
+    w, v = np.linalg.eigh(m)
     if w[0] >= 0.0 and abs(w.sum() - 1.0) <= _DISPLACEMENT_TOL:
         return np.array(x, dtype=float), np.array(y, dtype=float)
     w = project_to_simplex(w)
@@ -150,15 +160,17 @@ def _start(p: np.ndarray, gram: np.ndarray, z: np.ndarray) -> np.ndarray:
 
     With mu the minimum-norm solution of G mu = z, v* = P^T mu is the
     matrix nearest 0 and I/N among those that best explain z (module
-    docstring); it is its own projection when it is a state. Where v* is
-    not finite, the start is I/N.
+    docstring); it is its own projection when it is a state. The
+    projection runs with its Cholesky gate, so a positive definite v* of
+    unit trace is taken with no eigensolve. Where v* is not finite, the
+    start is I/N.
     """
     n = z.size
     with np.errstate(over="ignore", invalid="ignore"):  # judged by the finiteness test
         v_star = p.T @ np.linalg.lstsq(gram, z, rcond=None)[0]
     if not np.isfinite(v_star).all():
         return np.concatenate([np.full(n, 1.0 / n), np.zeros(n * (n - 1))])
-    return np.concatenate(project_to_density_set(v_star[:n], v_star[n:]))
+    return np.concatenate(project_to_density_set(v_star[:n], v_star[n:], gate=True))
 
 
 def mitigate(problem: MitigationProblem, options: SolverOptions | None = None) -> MitigationResult:

@@ -10,6 +10,9 @@ indices into the row-major N*N entries: l*N + r for the upper triangle and
 r*N + l for the mirrored lower one. Packing gathers the upper entries of a
 flattened matrix (or stack) in one step; assembling scatters them, and their
 conjugates, in one step each.
+
+DensityMatrix decides positivity as linalg does: the Cholesky gate accepts
+a state, and only a matrix it declines pays for its smallest eigenvalue.
 """
 
 from __future__ import annotations
@@ -18,7 +21,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import ATOL_PHYSICAL, Frozen, as_square_array, hermiticity_and_min_eigenvalue
+from .linalg import (
+    ATOL_PHYSICAL,
+    Frozen,
+    as_square_array,
+    cholesky_gate,
+    hermiticity_and_min_eigenvalue,
+    hermiticity_and_part,
+)
 
 
 @lru_cache(maxsize=None)
@@ -50,7 +60,11 @@ def pack_coherences(m) -> np.ndarray:
 
 
 class DensityMatrix(Frozen):
-    """Validated quantum state: Hermitian, unit trace, positive semidefinite; a read-only copy."""
+    """Validated quantum state: Hermitian, unit trace, positive semidefinite; a read-only copy.
+
+    Positivity is accepted by linalg.cholesky_gate; only a matrix the gate
+    declines has its smallest eigenvalue computed, which rejects it or not.
+    """
 
     __slots__ = __match_args__ = ("matrix",)
 
@@ -59,12 +73,15 @@ class DensityMatrix(Frozen):
         self._set(matrix=a)
         if not np.isfinite(a).all():
             raise ValueError("density matrix contains non-finite entries")
-        hermiticity, w_min = hermiticity_and_min_eigenvalue(a)
+        hermiticity, h = hermiticity_and_part(a)
         if not hermiticity <= ATOL_PHYSICAL:
             raise ValueError("density matrix is not Hermitian within 1e-10")
         trace = complex(a.trace())
         if not abs(trace - 1.0) <= ATOL_PHYSICAL:
             raise ValueError(f"density matrix trace {trace!r} is not 1 within 1e-10")
+        if cholesky_gate(h, ATOL_PHYSICAL):
+            return
+        w_min = hermiticity_and_min_eigenvalue(a)[1]
         if not w_min >= -ATOL_PHYSICAL:
             raise ValueError(f"density matrix has negative eigenvalue {w_min:.3e}")
 

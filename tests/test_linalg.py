@@ -4,7 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_complex, random_hermitian
-from coherent_readout.linalg import hermiticity_and_min_eigenvalue
+from coherent_readout import cli, povm
+from coherent_readout.channels import KrausChannel, random_channel
+from coherent_readout.formats import channel_to_obj
+from coherent_readout.linalg import ATOL_PHYSICAL, cholesky_gate, hermiticity_and_min_eigenvalue
+from coherent_readout.povm import Povm, effective_povm
+from coherent_readout.readout import extract, forward
+from coherent_readout.solver import MitigationProblem, mitigate
+from coherent_readout.states import DensityMatrix, decompose, random_density
 
 
 def min_eigenvalue(m):
@@ -109,3 +116,141 @@ def test_eigh_jacobi_eigenpairs():
     _, _, vh = np.linalg.svd(m - w * np.eye(5))
     v = vh[-1].conj()
     assert np.max(np.abs(m @ v - w * v)) < 1e-11
+
+
+# ------------------------------------------------------------ cholesky gate
+
+
+def hermitian_stack(rng, dim, k, w_min):
+    """k exactly Hermitian dim x dim matrices in random order, one of them with smallest
+    eigenvalue w_min and the others with spectra in [0.05, 1]."""
+    out = []
+    for i in range(k):
+        q, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+        w = rng.uniform(0.1, 1.0, dim)
+        w[0] = w_min if i == 0 else rng.uniform(0.05, 0.1)
+        h = (q * w) @ q.conj().T
+        out.append((h + h.conj().T) / 2.0)
+    return np.array(out)[rng.permutation(k)]
+
+
+@pytest.mark.parametrize("tol", [1e-10, 0.0])
+def test_cholesky_gate_agrees_with_eigvalsh(tol):
+    # w_min = -tol (1 -/+ margin) on the accepting/declining side, from
+    # 1e-4 of tol out to 1e3 of it (of 1e-10 where tol is 0). Closer in, at
+    # 1e-6 (about 1e-16 absolute), the two disagree where rounding limits
+    # eigvalsh itself.
+    rng = np.random.default_rng(int(tol == 0.0))
+    scale = tol or 1e-10
+    for dim in (2, 3, 4, 6, 8, 12, 16, 24, 32):
+        for margin in (1e-4, 1e-2, 1.0, 1e3):
+            for side in (1, -1):
+                for _ in range(4):
+                    h = hermitian_stack(rng, dim, 3, -tol + side * margin * scale)
+                    by_eigvalsh = bool(np.linalg.eigvalsh(h).min() > -tol)
+                    assert cholesky_gate(h, tol) is by_eigvalsh is (side > 0), (dim, margin, side)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("tol", [1e-10, 0.0])
+def test_cholesky_gate_declines_non_finite(bad, tol):
+    # eigvalsh returns -0.0 for diag(NaN, 1); the gate declines it.
+    assert not cholesky_gate(np.diag([bad, 1.0]).astype(complex), tol)
+    off = np.array([[1.0, bad], [bad, 1.0]], dtype=complex)
+    assert not cholesky_gate(np.array([np.eye(2), off]), tol)
+
+
+@pytest.mark.parametrize(
+    "h",
+    [
+        np.diag([1e308, -1e308]),
+        np.array([[1.0, 1e308], [1e308, 1.0]]),
+        np.full((2, 2), 1e308),  # rank one: a zero pivot, as the shift is absorbed
+        np.full((3, 3), 1e308),  # the factor's running sums overflow
+    ],
+    ids=["negative", "off-diagonal", "zero-pivot", "overflow"],
+)
+def test_cholesky_gate_declines_entries_near_the_float_range(h):
+    # Declining costs only an eigensolve; no RuntimeWarning (errors in this suite).
+    assert not cholesky_gate(h.astype(complex), ATOL_PHYSICAL)
+
+
+def test_cholesky_gate_is_no_magnitude_filter():
+    assert cholesky_gate(np.diag([1.7e308, 1e308]).astype(complex), ATOL_PHYSICAL)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_cholesky_gate_accepts_a_rank_deficient_povm(seed):
+    # Each F_k of a 3-qubit channel with 4 Kraus operators has rank at most 4
+    # of 8, so half its spectrum is zero up to rounding; the shift by the
+    # tolerance lets the factorization through, as in every 3-qubit chain.
+    elements = effective_povm(random_channel(8, 4, seed)).elements
+    w = np.linalg.eigvalsh(elements)
+    assert np.abs(w[:, :4]).max() < 1e-14
+    assert cholesky_gate(elements, ATOL_PHYSICAL)
+
+
+# --------------------------------------------- eigensolves along the chain
+
+
+@pytest.fixture
+def eigensolves(monkeypatch):
+    """Count np.linalg.eigh and eigvalsh calls made from here on."""
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        original = getattr(np.linalg, name)
+
+        def counting(*args, _original=original, **kwargs):
+            calls.append(1)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("seed", [10, 11, 12])
+def test_consistent_chain_runs_no_eigensolve(seed, eigensolves):
+    ops = random_channel(8, 4, seed).kraus_ops  # random_channel itself runs one
+    rho = random_density(3, seed + 1).matrix
+    eigensolves.clear()
+    model = extract(effective_povm(KrausChannel(8, ops)))
+    z = forward(model, decompose(rho))
+    res = mitigate(MitigationProblem(model, z))
+    assert res.iterations == 0 and res.residual <= 1e-12
+    assert not eigensolves
+
+
+def test_rejection_runs_one_eigensolve_and_keeps_its_message(eigensolves):
+    # The gate declines; the eigensolve rejects, with the message it always gave.
+    with pytest.raises(ValueError) as err:
+        DensityMatrix(np.diag([1.2, -0.2]))
+    assert str(err.value) == "density matrix has negative eigenvalue -2.000e-01"
+    assert len(eigensolves) == 1
+    e0 = np.diag([-0.2, 0.5]).astype(complex)
+    with pytest.raises(ValueError) as err:
+        Povm(2, (e0, np.eye(2) - e0))
+    assert str(err.value) == "POVM positivity violated: defect 2.000e-01 exceeds 1.0e-10"
+    assert len(eigensolves) == 2
+    with pytest.raises(ValueError) as err:
+        Povm(2, (0.5 * np.eye(2), 0.6 * np.eye(2)))
+    assert str(err.value) == "POVM completeness violated: defect 1.000e-01 exceeds 1.0e-10"
+    assert len(eigensolves) == 3
+
+
+def test_channel_validate_reports_from_one_validation(capsys, write_json, monkeypatch, eigensolves):
+    # Povm accepts through the gate; channel-validate runs validate_povm, one
+    # validate_povm call and its one eigensolve.
+    calls = []
+    original = povm.validate_povm
+
+    def counting(elements):
+        calls.append(1)
+        return original(elements)
+
+    path = write_json("ch.json", channel_to_obj(random_channel(8, 4, seed=5)))
+    monkeypatch.setattr(povm, "validate_povm", counting)
+    eigensolves.clear()
+    assert cli.main(["channel-validate", "--channel", path]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
+    assert len(eigensolves) == 1

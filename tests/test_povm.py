@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import almost_hermitian_with_a_state_below
 from coherent_readout import channels, povm
 from coherent_readout.channels import (
     amplitude_damping,
@@ -127,17 +128,29 @@ def test_validate_povm_rejects_an_overflowing_sum_without_warning():
     assert not report.passed
 
 
+def test_povm_positivity_is_judged_on_the_hermitian_parts():
+    # As for DensityMatrix: the lower triangles of these elements are positive.
+    f = almost_hermitian_with_a_state_below()
+    elements = [f, np.eye(8) - f] + [np.zeros((8, 8))] * 6
+    with pytest.raises(ValueError, match="positivity violated: defect 3.15"):
+        povm.Povm(8, elements)
+
+
 def test_povm_rejects_an_unmeasurable_defect(monkeypatch):
+    # A stack the Cholesky gate declines goes to validate_povm, and a NaN
+    # defect in its report fails like any other.
     nan_report = povm.PovmReport(np.nan, 0.0, 0.0, passed=False)
+    monkeypatch.setattr(povm, "cholesky_gate", lambda h, tol: False)
     monkeypatch.setattr(povm, "validate_povm", lambda elements: nan_report)
     with pytest.raises(ValueError, match="hermiticity"):
         povm.Povm(2, np.eye(2)[:, None] * np.eye(2))
 
 
-def test_povm_keeps_its_report():
+def test_povm_keeps_no_report():
+    # The report is computed on demand from the elements, which a Povm holds alone.
     p = povm.effective_povm(rotation_y(0.3))
-    assert p.report == povm.validate_povm(p.elements)
-    assert p.report.passed
+    assert povm.Povm.__slots__ == ("dim", "elements")
+    assert povm.validate_povm(p.elements).passed
     assert "report" not in repr(p)
 
 

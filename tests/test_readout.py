@@ -170,15 +170,20 @@ def test_model_rebuilds_the_povm_it_was_read_from(ch):
 
 
 def test_extract_validates_the_povm_once(monkeypatch):
+    # Positivity is checked by the Cholesky gate, once per Povm built: extract
+    # reads the model off a validated Povm, while ReadoutModel(A, C) rebuilds
+    # and checks it. A valid POVM never reaches validate_povm.
     calls = []
-    original = povm.validate_povm
+    original = povm.cholesky_gate
 
-    def counting(elements):
+    def counting(h, tol):
         calls.append(1)
-        return original(elements)
+        return original(h, tol)
 
-    monkeypatch.setattr(povm, "validate_povm", counting)
-    m = extract(effective_povm(random_channel(4, 3, seed=95)))
+    ch = random_channel(4, 3, seed=95)
+    monkeypatch.setattr(povm, "cholesky_gate", counting)
+    monkeypatch.setattr(povm, "validate_povm", lambda f: pytest.fail("validate_povm called"))
+    m = extract(effective_povm(ch))
     assert len(calls) == 1
     ReadoutModel(assignment=m.assignment, coherence=m.coherence)
     assert len(calls) == 2
@@ -240,7 +245,7 @@ def test_dephasing_forward_ignores_coherence():
     n_kraus=st.integers(2, 5),
 )
 @settings(max_examples=60, deadline=None)
-def test_forward_matches_superoperator_oracle(seed, n_qubits, n_kraus):
+def test_forward_matches_the_oracle(seed, n_qubits, n_kraus):
     dim = 2**n_qubits
     ch = random_channel(dim, n_kraus, seed=seed)
     rho = random_density(n_qubits, seed + 1)

@@ -223,13 +223,13 @@ def test_density_projection_of_the_zero_matrix_is_maximally_mixed():
 
 
 def spy(monkeypatch, name):
-    """Record the arguments of every call made to solver.<name> through the module."""
+    """Record the arguments (positional, keyword) of every call made to solver.<name> through the module."""
     calls = []
     original = getattr(solver, name)
 
-    def counting(*args):
-        calls.append(args)
-        return original(*args)
+    def counting(*args, **kwargs):
+        calls.append((args, kwargs))
+        return original(*args, **kwargs)
 
     monkeypatch.setattr(solver, name, counting)
     return calls
@@ -244,6 +244,16 @@ def test_density_projection_returns_a_state_as_it_is(monkeypatch, seed):
     assert x.tobytes() == d.populations.tobytes() and y.tobytes() == d.coherences.tobytes()
     assert not np.shares_memory(x, d.populations) and not np.shares_memory(y, d.coherences)
     assert x.flags.writeable and y.flags.writeable
+
+
+@pytest.mark.parametrize("seed", [40, 41, 42])
+def test_gated_projection_matches_the_eigensolve(seed):
+    # A full-rank state passes the gate, a state moved off the density set
+    # does not; either way the gate returns what the eigensolve would.
+    d = decompose(random_density(1 + seed % 3, seed).matrix)
+    for x, y in ((d.populations, d.coherences), (d.populations - 0.5, d.coherences)):
+        gated, plain = project_to_density_set(x, y, gate=True), project_to_density_set(x, y)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(gated, plain))
 
 
 @given(seed=st.integers(0, 2**32 - 1), excess=st.floats(-1e-12, 1e-12))
@@ -462,13 +472,33 @@ def test_step_size_is_computed_only_when_the_loop_runs(monkeypatch, problem, loo
 
 @pytest.mark.parametrize("seed", [5000, 5001])
 def test_consistent_start_takes_no_simplex_step(monkeypatch, seed):
+    # v* is positive definite with unit trace: the start's one projection
+    # takes it through the Cholesky gate, hence no simplex step.
     problem, _ = consistent_problem(seed)
     projections = spy(monkeypatch, "project_to_density_set")
     simplex_calls = spy(monkeypatch, "project_to_simplex")
     res = mitigate(problem)
     assert res.iterations == 0 and res.converged
-    assert len(projections) == 1
+    assert [kwargs for _, kwargs in projections] == [{"gate": True}]
     assert not simplex_calls
+
+
+@pytest.mark.parametrize(
+    "z, expected",
+    [
+        ([1.0 + 5e-11, -5e-11], [1.0, 0.0]),  # an eigenvalue below zero, however slightly
+        ([0.3, 0.3], [0.5, 0.5]),  # positive definite, but of trace 0.6
+    ],
+    ids=["negative", "trace"],
+)
+def test_start_takes_only_a_state_as_it_is(z, expected):
+    # Under the identity channel F_k = |k><k|, so v* = diag(z); neither v*
+    # here is a state, and each is projected.
+    model = model_of(identity(2))
+    p = np.concatenate([model.assignment, model.coherence / 2.0], axis=1)
+    v = _start(p, p @ assemble_b(model).T, np.array(z))
+    assert np.max(np.abs(v[:2] - expected)) <= 1e-15
+    assert not v[2:].any()
 
 
 @pytest.mark.parametrize("seed", [3, 7])

@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import almost_hermitian_with_a_state_below
+from coherent_readout import states
 from coherent_readout.states import (
     DensityMatrix,
     StateDecomposition,
@@ -187,15 +189,19 @@ def test_state_decomposition_validation():
         StateDecomposition(np.array([0.5, 0.5]), np.array([5.0, 0.0]))
 
 
-def test_decompose_runs_one_eigensolve(monkeypatch):
+def test_decompose_runs_one_positivity_check(monkeypatch):
+    # A state is checked once, by the Cholesky gate, which accepts it
+    # without an eigensolve; decompose checks only what is not yet a
+    # DensityMatrix.
     calls = []
-    original = np.linalg.eigvalsh
+    original = states.cholesky_gate
 
-    def counting(a):
+    def counting(h, tol):
         calls.append(1)
-        return original(a)
+        return original(h, tol)
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    monkeypatch.setattr(states, "cholesky_gate", counting)
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: pytest.fail("eigvalsh called"))
     rho = DensityMatrix(np.full((2, 2), 0.5))
     assert len(calls) == 1
     decompose(rho)
@@ -204,6 +210,13 @@ def test_decompose_runs_one_eigensolve(monkeypatch):
     assert len(calls) == 2
     StateDecomposition(np.array([0.5, 0.5]), np.array([0.5, 0.0]))
     assert len(calls) == 3
+
+
+def test_positivity_is_judged_on_the_hermitian_part():
+    # The Cholesky gate reads only a lower triangle, so it must be given the
+    # Hermitian part, not the matrix: the lower triangle here is a state.
+    with pytest.raises(ValueError, match="negative eigenvalue -3.15"):
+        DensityMatrix(almost_hermitian_with_a_state_below())
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
