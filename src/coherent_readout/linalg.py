@@ -13,6 +13,8 @@ imports this one.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 # Default absolute tolerances: physical constraints (positivity, trace
@@ -123,11 +125,22 @@ def hermiticity_and_min_eigenvalue(m) -> tuple[float, float]:
     """Worst entry of |m - m^dag| and smallest eigenvalue of the Hermitian part.
 
     Both numbers are taken over the whole stack (hermiticity_and_part); the
-    eigenvalue measures entries up to the edge of the float range instead
-    of turning into NaN.
+    eigenvalue measures finite entries up to the edge of the float range
+    instead of turning into NaN, and is NaN where m holds a NaN or inf, on
+    which eigvalsh can return finite numbers.
     """
     hermiticity, h = hermiticity_and_part(m)
+    if not np.isfinite(h).all():
+        return hermiticity, float("nan")
     return hermiticity, float(np.linalg.eigvalsh(h).min())
+
+
+@lru_cache(maxsize=None)
+def _shift(n: int, tol: float) -> np.ndarray:
+    """tol * I of size n; read-only, shared."""
+    shift = tol * np.eye(n)
+    shift.flags.writeable = False
+    return shift
 
 
 def cholesky_gate(h: np.ndarray, tol: float) -> bool:
@@ -143,7 +156,7 @@ def cholesky_gate(h: np.ndarray, tol: float) -> bool:
     hermiticity_and_part returns it. NaN and inf are declined, and so is a
     matrix whose factorization overflows near the float range.
     """
-    shifted = h + tol * np.eye(h.shape[-1]) if tol else h
+    shifted = h + _shift(h.shape[-1], tol) if tol else h
     try:
         factor = np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError:

@@ -64,8 +64,8 @@ def extract(p: Povm) -> ReadoutModel:
     unknown origin.
     """
     diag = np.diagonal(p.elements, axis1=1, axis2=2)
-    bad = np.flatnonzero(np.max(np.abs(diag.imag), axis=1) > ATOL_STRUCTURAL)
-    if bad.size:
+    if np.abs(diag.imag).max() > ATOL_STRUCTURAL:
+        bad = np.flatnonzero(np.max(np.abs(diag.imag), axis=1) > ATOL_STRUCTURAL)
         raise ValueError(f"POVM element {bad[0]} has non-real diagonal")
     coherence = 2.0 * pack_coherences(p.elements)
     return object.__new__(ReadoutModel)._set(assignment=diag.real.copy(), coherence=coherence)

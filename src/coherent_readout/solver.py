@@ -15,7 +15,11 @@ sum_k mu_k F_k, with mu the minimum-norm solution of G mu = z: of all
 matrices that best explain z, v* is the one nearest 0 and, as
 I = sum_k F_k, nearest I/N. That is the spectral projection of a
 linear-inversion estimate (Smolin, Gambetta & Smith, PRL 108, 070502,
-2012). When v* is a state, it is its own projection and is taken as it
+2012). A Cholesky factorization of G whose smallest squared pivot is
+above sqrt(eps) times its largest certifies G positive definite, and mu
+then comes from a plain solve; any other G (singular, as when two POVM
+elements are equal, or nearly so) goes to the minimum-norm least-squares
+solve. When v* is a state, it is its own projection and is taken as it
 is, with no simplex step or rebuild: consistent data are then solved in
 closed form, by the consistent state nearest I/N, the least pure one. The
 start's projection first tries a Cholesky factorization, which takes a
@@ -45,6 +49,7 @@ from .states import assemble_matrix, split_matrix
 
 _DISPLACEMENT_TOL = 1e-12
 _SINGULAR_TOL = 1e-12
+_PIVOT_RATIO = 1.5e-8  # about sqrt(eps): smallest squared pivot / largest, for solve
 
 
 class SolverOptions(Frozen):
@@ -58,6 +63,9 @@ class SolverOptions(Frozen):
         if not 0.0 < residual_tol < np.inf:
             raise ValueError("residual_tol must be finite and positive")
         self._set(max_iterations=max_iterations, residual_tol=residual_tol)
+
+
+_DEFAULT_OPTIONS = SolverOptions()
 
 
 class MitigationProblem(Frozen):
@@ -160,14 +168,24 @@ def _start(p: np.ndarray, gram: np.ndarray, z: np.ndarray) -> np.ndarray:
 
     With mu the minimum-norm solution of G mu = z, v* = P^T mu is the
     matrix nearest 0 and I/N among those that best explain z (module
-    docstring); it is its own projection when it is a state. The
-    projection runs with its Cholesky gate, so a positive definite v* of
-    unit trace is taken with no eigensolve. Where v* is not finite, the
-    start is I/N.
+    docstring); it is its own projection when it is a state. mu comes from
+    np.linalg.solve when the Cholesky factorization of G succeeds and its
+    smallest squared pivot exceeds _PIVOT_RATIO times its largest, and from
+    np.linalg.lstsq otherwise: a singular G can factor with a pivot of
+    rounding size, where solve would give a v* far from the minimum-norm
+    one. The projection runs with its Cholesky gate, so a positive definite
+    v* of unit trace is taken with no eigensolve. Where v* is not finite,
+    the start is I/N.
     """
     n = z.size
+    try:
+        pivots = np.linalg.cholesky(gram).diagonal() ** 2
+        definite = pivots.min() > _PIVOT_RATIO * pivots.max()
+    except np.linalg.LinAlgError:
+        definite = False
     with np.errstate(over="ignore", invalid="ignore"):  # judged by the finiteness test
-        v_star = p.T @ np.linalg.lstsq(gram, z, rcond=None)[0]
+        mu = np.linalg.solve(gram, z) if definite else np.linalg.lstsq(gram, z, rcond=None)[0]
+        v_star = p.T @ mu
     if not np.isfinite(v_star).all():
         return np.concatenate([np.full(n, 1.0 / n), np.zeros(n * (n - 1))])
     return np.concatenate(project_to_density_set(v_star[:n], v_star[n:], gate=True))
@@ -193,7 +211,7 @@ def mitigate(problem: MitigationProblem, options: SolverOptions | None = None) -
     reached: the projected step moved its point by less than 1e-12, or a
     step without momentum was rejected.
     """
-    opts = options or SolverOptions()
+    opts = options or _DEFAULT_OPTIONS
     model = problem.model
     z = problem.z_observed
     n = model.dim

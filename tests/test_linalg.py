@@ -69,6 +69,14 @@ def test_hermiticity_defect_overflows_without_warning():
     assert w_min == 0.0
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_min_eigenvalue_of_a_non_finite_matrix_is_nan(bad):
+    # eigvalsh returns finite eigenvalues for diag(NaN, 1) (-0.0 first), which
+    # would pass as positive semidefinite.
+    assert np.isnan(min_eigenvalue(np.diag([bad, 1.0])))
+    assert np.isnan(min_eigenvalue(np.array([np.eye(2), [[1.0, bad], [bad, 1.0]]])))
+
+
 def test_min_eigenvalue_identity():
     assert min_eigenvalue(np.eye(3)) == pytest.approx(1.0, abs=1e-12)
 

@@ -97,8 +97,12 @@ def test_extract_rejects_nonreal_diagonal():
     f0 = np.array([[0.5 + 4e-11j, 0.0], [0.0, 0.5]])
     f1 = np.eye(2) - f0
     p = Povm(dim=2, elements=(f0, f1))
-    with pytest.raises(ValueError, match="non-real diagonal"):
+    with pytest.raises(ValueError, match="^POVM element 0 has non-real diagonal$"):
         extract(p)
+    # The first offending element is named, not the worst one (element 2).
+    f = np.array([np.eye(3), np.diag([1.0 + 2e-11j, 1, 1]), np.diag([1, 1.0 + 4e-11j, 1])]) / 3.0
+    with pytest.raises(ValueError, match="^POVM element 1 has non-real diagonal$"):
+        extract(Povm(dim=3, elements=f))
 
 
 # ------------------------------------------------------------- model checks

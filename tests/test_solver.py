@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coherent_readout import solver
+from coherent_readout import cli, solver
 from coherent_readout.channels import (
     amplitude_damping,
     identity,
@@ -13,7 +13,8 @@ from coherent_readout.channels import (
     rotation_y,
     tensor,
 )
-from coherent_readout.povm import effective_povm
+from coherent_readout.formats import channel_from_obj
+from coherent_readout.povm import Povm, effective_povm
 from coherent_readout.readout import ReadoutModel, closed_form_zoo, extract, forward
 from coherent_readout.solver import (
     MitigationProblem,
@@ -555,6 +556,107 @@ def test_zero_data_start_at_the_maximally_mixed_state():
     res = mitigate(MitigationProblem(model=model, z_observed=z))
     assert res.converged
     assert abs(res.residual - np.sqrt(0.5)) <= 1e-12
+
+
+# ------------------------------------------------ how the start solves for mu
+
+
+def start_arguments(model):
+    """(P, G) as mitigate passes them to _start."""
+    p = np.concatenate([model.assignment, model.coherence / 2.0], axis=1)
+    return p, p @ assemble_b(model).T
+
+
+def least_squares_start(p, gram, z):
+    """The start with mu the minimum-norm least-squares solution, as lstsq gives it."""
+    n = z.size
+    v_star = p.T @ np.linalg.lstsq(gram, z, rcond=None)[0]
+    return np.concatenate(project_to_density_set(v_star[:n], v_star[n:], gate=True))
+
+
+def model_with_a_split_element(n, seed, delta):
+    """An n-outcome model whose first two POVM elements are the halves of one element,
+    moved apart by +-delta * H (H positive definite): equal when delta is 0.
+
+    n - 1 random positive definite matrices are normalised to sum to I, and the
+    first is split; G then has two equal rows, or two rows apart by O(delta).
+    """
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((n, n, n)) + 1j * rng.standard_normal((n, n, n))
+    m = g @ g.conj().transpose(0, 2, 1)  # m[:-1] become the elements, m[-1] is H
+    w, u = np.linalg.eigh(m[:-1].sum(axis=0))
+    root = (u / np.sqrt(w)) @ u.conj().T  # (sum of m[:-1])^(-1/2)
+    halves = [m[0] / 2.0 + delta * m[-1], m[0] / 2.0 - delta * m[-1]]
+    return extract(Povm(n, root @ np.concatenate([halves, m[1:-1]]) @ root))
+
+
+@pytest.mark.parametrize("delta", [0.0, 1e-7], ids=["equal", "nearly-equal"])
+@pytest.mark.parametrize("n", [2, 4, 8, 16])
+def test_start_of_a_singular_gram_matrix_is_the_least_squares_one(n, delta):
+    # Equal elements make G singular, yet its Cholesky factorization often
+    # succeeds with a last pivot of rounding size (with OpenBLAS on x86-64,
+    # for 2-5 of these 12 seeds at each n, e.g. 9 and 11 at n = 8), where a
+    # plain solve either raises or gives a v* far from the least-squares one.
+    # Elements 1e-7 apart factor with a squared pivot ratio between n * eps
+    # and the guard's sqrt(eps). Either way the start is lstsq's, bit for bit.
+    for seed in range(12):
+        model = model_with_a_split_element(n, seed, delta)
+        p, gram = start_arguments(model)
+        if delta:
+            pivots = np.linalg.cholesky(gram).diagonal() ** 2
+            assert n * np.finfo(float).eps < pivots.min() / pivots.max() < 1.5e-8
+        z = forward(model, decompose(random_density(n.bit_length() - 1, seed)))
+        assert np.array_equal(_start(p, gram, z), least_squares_start(p, gram, z))
+
+
+# Channel specs whose G is exactly singular, with mitigate's residual on z = [0.3, 0.7]
+# as the least-squares start gives it (x = [0.5, 0.5], y = 0, after one step).
+SINGULAR_CHANNELS = {
+    # F = (I, 0): the factorization fails.
+    "amplitude_damping-1.00": (
+        {"builtin": "amplitude_damping", "params": {"gamma": 1.0}}, 0.9899494936611665,
+    ),
+    # F = (I/2, I/2): the factorization succeeds with a last squared pivot of 1.1e-16.
+    "uniform-pauli": ({"builtin": "pauli", "params": {"probs": [0.25] * 4}}, 0.282842712474619),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SINGULAR_CHANNELS))
+def test_start_of_an_exactly_singular_gram_matrix_is_the_least_squares_one(name):
+    model = model_of(channel_from_obj(SINGULAR_CHANNELS[name][0]))
+    p, gram = start_arguments(model)
+    for z in ([0.3, 0.7], [0.5, 0.5], [1.0, 0.0]):
+        z = np.array(z)
+        assert np.array_equal(_start(p, gram, z), least_squares_start(p, gram, z))
+
+
+@pytest.mark.parametrize("name", sorted(SINGULAR_CHANNELS))
+def test_cli_mitigate_on_a_singular_gram_matrix(name, capsys, write_json):
+    spec, residual = SINGULAR_CHANNELS[name]
+    ch = write_json("ch.json", spec)
+    z = write_json("z.json", {"z": [0.3, 0.7]})
+    assert cli.main(["mitigate", "--channel", ch, "--z", z]) == 0
+    out, err = capsys.readouterr()
+    assert out == (
+        '{\n  "x": [\n    0.5,\n    0.5\n  ],\n  "y": [\n    0.0,\n    0.0\n  ],\n'
+        f'  "residual": {residual!r},\n  "iterations": 1,\n  "converged": true\n}}\n'
+    )
+    assert err == f"residual {residual:.3e} after 1 iterations (converged: True)\n"
+
+
+@pytest.mark.parametrize("seed", [60, 61])
+def test_start_of_a_definite_gram_matrix_is_solved_directly(monkeypatch, seed):
+    ch, rho = three_qubit_channel_and_state(seed)
+    model = model_of(ch)
+    p, gram = start_arguments(model)
+    z = forward(model, decompose(rho.matrix))
+    expected = least_squares_start(p, gram, z)
+    calls = []
+    original = np.linalg.lstsq
+    monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: calls.append(1) or original(*a, **k))
+    v = _start(p, gram, z)
+    assert not calls
+    assert np.max(np.abs(v - expected)) <= 1e-14
 
 
 TOTAL_CHANNELS = [(f"{name}-{param:.2f}", ch) for name, param, ch, _, _ in closed_form_zoo()] + [

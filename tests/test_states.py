@@ -159,12 +159,29 @@ def test_density_matrix_rejects_bad_trace():
         DensityMatrix(np.eye(2))
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_density_matrix_rejects_non_finite(bad):
-    with pytest.raises(ValueError, match="non-finite"):
-        DensityMatrix(np.array([[bad, 0.0], [0.0, 0.5]]))
-    with pytest.raises(ValueError, match="non-finite"):
-        DensityMatrix(np.array([[0.5, bad], [bad, 0.5]]))
+NAN, INF = np.nan, np.inf
+NON_FINITE_MATRICES = {
+    "nan": [[NAN, 0.0], [0.0, 0.5]],
+    "inf": [[INF, 0.0], [0.0, 0.5]],
+    "-inf": [[-INF, 0.0], [0.0, 0.5]],
+    "inf-and-minus-inf-on-the-diagonal": [[INF, 0.0], [0.0, -INF]],
+    "nan-mirrored": [[0.5, NAN], [NAN, 0.5]],
+    "inf-mirrored": [[0.5, INF], [INF, 0.5]],
+    "-inf-mirrored": [[0.5, -INF], [-INF, 0.5]],
+    "imaginary-inf-mirrored": [[0.5, complex(0.0, INF)], [complex(0.0, -INF), 0.5]],
+    "inf-unmirrored": [[0.5, INF], [0.0, 0.5]],
+    "-inf-below-the-diagonal": [[0.5, 0.0], [-INF, 0.5]],
+    "nan-with-a-wrong-trace": [[0.9, NAN], [NAN, 0.9]],
+    "nan-and-inf": [[NAN, INF], [INF, 0.5]],
+}
+
+
+@pytest.mark.parametrize("name", NON_FINITE_MATRICES)
+def test_density_matrix_rejects_non_finite(name):
+    # The finiteness scan runs only once the hermiticity check has failed,
+    # which every NaN or inf makes it do; the message is the same as ever.
+    with pytest.raises(ValueError, match="^density matrix contains non-finite entries$"):
+        DensityMatrix(np.array(NON_FINITE_MATRICES[name]))
 
 
 def test_density_matrix_rejects_negative_eigenvalue():
