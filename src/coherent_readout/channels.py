@@ -27,11 +27,8 @@ from .linalg import (
     identity_defect,
 )
 
-_ID2 = np.eye(2, dtype=complex)
-_PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
-_PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-_PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-PAULIS = np.array([_ID2, _PAULI_X, _PAULI_Y, _PAULI_Z])
+# I, X, Y, Z
+PAULIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 PAULIS.flags.writeable = False
 
 
@@ -125,7 +122,7 @@ def dephasing(lam: float) -> KrausChannel:
         raise ValueError(f"dephasing parameter must lie in [0, 1], got {lam}")
     return KrausChannel(
         2,
-        (np.sqrt((1.0 + lam) / 2.0) * _ID2, np.sqrt((1.0 - lam) / 2.0) * _PAULI_Z),
+        (np.sqrt((1.0 + lam) / 2.0) * PAULIS[0], np.sqrt((1.0 - lam) / 2.0) * PAULIS[3]),
     )
 
 
@@ -148,6 +145,8 @@ def rotation_y(theta: float) -> KrausChannel:
     so the effective measurement operators acquire off-diagonal entries
     +sin(theta)/2 and the channel maps |1> toward +|0> for small theta.
     """
+    if not -np.inf < theta < np.inf:
+        raise ValueError(f"rotation angle must be finite, got {theta}")
     c = np.cos(theta / 2.0)
     s = np.sin(theta / 2.0)
     u = np.array([[c, s], [-s, c]], dtype=complex)
@@ -169,7 +168,7 @@ def pauli_channel(probs: Sequence[float]) -> KrausChannel:
         raise ValueError(f"probs must have length 4**n, got {p.size}")
     if np.any(p < 0.0):
         raise ValueError("probabilities must be non-negative")
-    if abs(p.sum() - 1.0) > ATOL_STRUCTURAL:
+    if not abs(p.sum() - 1.0) <= ATOL_STRUCTURAL:
         raise ValueError(f"probabilities must sum to 1, got {p.sum()!r}")
 
     strings = np.ones((1, 1, 1), dtype=complex)

@@ -121,20 +121,6 @@ def hermiticity_and_part(m) -> tuple[float, np.ndarray]:
         return hermiticity, a if hermiticity == 0.0 else a / 2.0 + a_dag / 2.0
 
 
-def hermiticity_and_min_eigenvalue(m) -> tuple[float, float]:
-    """Worst entry of |m - m^dag| and smallest eigenvalue of the Hermitian part.
-
-    Both numbers are taken over the whole stack (hermiticity_and_part); the
-    eigenvalue measures finite entries up to the edge of the float range
-    instead of turning into NaN, and is NaN where m holds a NaN or inf, on
-    which eigvalsh can return finite numbers.
-    """
-    hermiticity, h = hermiticity_and_part(m)
-    if not np.isfinite(h).all():
-        return hermiticity, float("nan")
-    return hermiticity, float(np.linalg.eigvalsh(h).min())
-
-
 @lru_cache(maxsize=None)
 def _shift(n: int, tol: float) -> np.ndarray:
     """tol * I of size n; read-only, shared."""

@@ -3,7 +3,7 @@
 Measuring in the computational basis after a channel E is the same as
 measuring the POVM F_k = E^dag(|k><k|) on the noiseless state. The
 operator-valued kernel K(s, t) = E(|s><t|) tracks where each matrix unit
-goes; its diagonal elements <k|K(l, r)|k| for l != r are exactly the terms a
+goes; its diagonal elements <k|K(l, r)|k> for l != r are exactly the terms a
 purely classical assignment-matrix model cannot represent. The kernel is the
 channel's superoperator read column by column, and kernel_diag_defect reads
 all those diagonal elements off it at once, apart from the POVM route.
@@ -29,7 +29,6 @@ from .linalg import (
     Frozen,
     as_square_stack,
     cholesky_gate,
-    hermiticity_and_min_eigenvalue,
     hermiticity_and_part,
     identity_defect,
 )
@@ -76,7 +75,8 @@ def validate_povm(elements) -> PovmReport:
     f = np.asarray(elements, dtype=complex)
     if not np.isfinite(f).all():
         raise ValueError("POVM elements contain non-finite entries")
-    hermiticity, w_min = hermiticity_and_min_eigenvalue(f)
+    hermiticity, h = hermiticity_and_part(f)
+    w_min = float(np.linalg.eigvalsh(h).min())
     positivity = 0.0 if w_min >= 0.0 else -w_min
     completeness = _completeness_defect(f)
     return PovmReport(

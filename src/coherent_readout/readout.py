@@ -83,7 +83,7 @@ def classical_forward(model: ReadoutModel, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != (model.dim,):
         raise ValueError(f"population vector must have shape ({model.dim},)")
-    if abs(x.sum() - 1.0) > ATOL_PHYSICAL:
+    if not abs(x.sum() - 1.0) <= ATOL_PHYSICAL:
         raise ValueError(f"populations must sum to 1, got {x.sum()!r}")
     return model.assignment @ x
 

@@ -116,6 +116,8 @@ def project_to_simplex(u) -> np.ndarray:
         srt = np.sort(u)[::-1]
         css = np.cumsum(srt)
         feasible = srt + (1.0 - css) / np.arange(1, u.size + 1) > 0.0
+        if not feasible[0]:  # true for every finite u, whose shifted maximum is 0
+            raise ValueError("cannot project a NaN or +inf entry")
         last = np.flatnonzero(feasible)[-1]
         tau = (1.0 - css[last]) / (last + 1)
         return np.maximum(u + tau, 0.0)
@@ -131,7 +133,8 @@ def project_to_density_set(x, y, gate: bool = False) -> tuple[np.ndarray, np.nda
     which the gradient descent in mitigate() needs: a plain trace rescale
     after clipping can cancel a gradient step exactly (whenever the step is
     parallel to the iterate) and park the solver at a non-optimal point.
-    The zero matrix maps to I/N, diag(-1, -2) to |0><0|.
+    The zero matrix maps to I/N, diag(-1, -2) to |0><0|. A NaN or +-inf
+    coordinate gives a spectrum with a NaN, which raises ValueError.
 
     A state is its own projection and is returned as it is, in new arrays:
     where no eigenvalue is negative and the trace is within 1e-12 of 1,
@@ -230,12 +233,8 @@ def mitigate(problem: MitigationProblem, options: SolverOptions | None = None) -
     iterations = 0
 
     if not converged:
-        # The F_k of a validated model sum to I, so lambda_max(G) >= 1^T G 1 / N = 1
-        # and this check cannot fire for one.
-        lam = _largest_eigenvalue(gram)
-        if lam <= 0.0:
-            raise ValueError("model matrix has no positive curvature; cannot set a step size")
-        step = 1.0 / lam
+        # The F_k of a validated model sum to I, so lambda_max(G) >= 1^T G 1 / N = 1.
+        step = 1.0 / _largest_eigenvalue(gram)
 
     while not converged and iterations < opts.max_iterations:
         t_next = (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
@@ -274,10 +273,11 @@ def mitigate(problem: MitigationProblem, options: SolverOptions | None = None) -
 
 
 def classical_invert(model: ReadoutModel, z) -> np.ndarray:
-    """Assignment-only mitigation: least-squares solve of A x = z, then simplex projection."""
-    z = np.asarray(z, dtype=float)
-    if z.shape != (model.dim,):
-        raise ValueError(f"distribution must have shape ({model.dim},), got {z.shape}")
+    """Assignment-only mitigation: least-squares solve of A x = z, then simplex projection.
+
+    z is read as MitigationProblem reads it: shape (N,), finite entries.
+    """
+    z = MitigationProblem(model, z).z_observed
     x_ls, _, _, svals = np.linalg.lstsq(model.assignment, z, rcond=None)
     if svals[-1] <= _SINGULAR_TOL * max(1.0, svals[0]):
         raise ValueError(

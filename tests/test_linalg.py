@@ -7,15 +7,24 @@ from conftest import random_complex, random_hermitian
 from coherent_readout import cli, povm
 from coherent_readout.channels import KrausChannel, random_channel
 from coherent_readout.formats import channel_to_obj
-from coherent_readout.linalg import ATOL_PHYSICAL, cholesky_gate, hermiticity_and_min_eigenvalue
-from coherent_readout.povm import Povm, effective_povm
+from coherent_readout.linalg import ATOL_PHYSICAL, cholesky_gate, hermiticity_and_part
+from coherent_readout.povm import Povm, effective_povm, validate_povm
 from coherent_readout.readout import extract, forward
 from coherent_readout.solver import MitigationProblem, mitigate
 from coherent_readout.states import DensityMatrix, decompose, random_density
 
 
 def min_eigenvalue(m):
-    return hermiticity_and_min_eigenvalue(m)[1]
+    """Smallest eigenvalue of the Hermitian part of m, a matrix or a stack.
+
+    validate_povm's positivity defect is this value negated and clipped at
+    zero; the eigen step is repeated here only to recover a positive
+    minimum, and the defect must match it bit for bit.
+    """
+    stack = np.asarray(m, dtype=complex).reshape(-1, *np.shape(m)[-2:])
+    w_min = float(np.linalg.eigvalsh(hermiticity_and_part(stack)[1]).min())
+    assert validate_povm(stack).positivity_defect == (0.0 if w_min >= 0.0 else -w_min)
+    return w_min
 
 
 def char_poly_roots(m):
@@ -33,48 +42,46 @@ def char_poly_roots(m):
 
 
 def test_is_hermitian():
-    assert hermiticity_and_min_eigenvalue(np.array([[0, -1j], [1j, 0]]))[0] == 0.0
-    assert hermiticity_and_min_eigenvalue(np.array([[0.0, 1.0], [0.0, 0.0]]))[0] == 1.0
-    assert hermiticity_and_min_eigenvalue(np.array([[1.0, 1e-12], [0.0, 1.0]]))[0] == 1e-12
+    assert hermiticity_and_part(np.array([[0, -1j], [1j, 0]]))[0] == 0.0
+    assert hermiticity_and_part(np.array([[0.0, 1.0], [0.0, 0.0]]))[0] == 1.0
+    assert hermiticity_and_part(np.array([[1.0, 1e-12], [0.0, 1.0]]))[0] == 1e-12
 
 
 def test_hermitian_part_fixes_asymmetry():
-    # The eigenvalue is that of the Hermitian part [[1, 1], [1, 3]].
-    hermiticity, w_min = hermiticity_and_min_eigenvalue(np.array([[1.0, 2.0], [0.0, 3.0]]))
+    m = np.array([[1.0, 2.0], [0.0, 3.0]])
+    hermiticity, h = hermiticity_and_part(m)
     assert hermiticity == 2.0
-    assert w_min == pytest.approx(2.0 - np.sqrt(2.0), abs=1e-14)
+    assert np.array_equal(h, [[1.0, 1.0], [1.0, 3.0]])
+    # Positivity is measured on the Hermitian part [[1, 1], [1, 3]].
+    assert validate_povm(-m[None]).positivity_defect == pytest.approx(2.0 + np.sqrt(2.0), abs=1e-14)
 
 
 @given(k=st.integers(1, 4), dim=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=30, deadline=None)
 def test_stack_takes_worst_over_its_matrices(k, dim, seed):
     stack = np.array([random_complex(dim, seed + i) for i in range(k)])
-    each = [hermiticity_and_min_eigenvalue(m) for m in stack]
-    hermiticity, w_min = hermiticity_and_min_eigenvalue(stack)
-    assert hermiticity == max(h for h, _ in each)
-    assert w_min == pytest.approx(min(w for _, w in each), abs=1e-12)
+    hermiticity, h = hermiticity_and_part(stack)
+    assert hermiticity == max(hermiticity_and_part(m)[0] for m in stack)
+    assert np.array_equal(h, [hermiticity_and_part(m)[1] for m in stack])
+    assert min_eigenvalue(stack) == pytest.approx(min(min_eigenvalue(m) for m in stack), abs=1e-12)
 
 
 def test_hermitian_part_does_not_overflow():
     # (m + m^dag)/2 overflows to inf here and its eigenvalues come out NaN.
-    hermiticity, w_min = hermiticity_and_min_eigenvalue(np.diag([1e308, -1e308]))
+    m = np.diag([1e308, -1e308])
+    hermiticity, h = hermiticity_and_part(m)
     assert hermiticity == 0.0
-    assert w_min == -1e308
+    assert np.array_equal(h, m)
+    assert validate_povm(m[None]).positivity_defect == 1e308
 
 
 def test_hermiticity_defect_overflows_without_warning():
     # m - m^dag overflows to inf; RuntimeWarnings are errors in this suite.
-    hermiticity, w_min = hermiticity_and_min_eigenvalue(np.array([[0.0, 1e308], [-1e308, 0.0]]))
+    m = np.array([[0.0, 1e308], [-1e308, 0.0]])
+    hermiticity, h = hermiticity_and_part(m)
     assert hermiticity == np.inf
-    assert w_min == 0.0
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_min_eigenvalue_of_a_non_finite_matrix_is_nan(bad):
-    # eigvalsh returns finite eigenvalues for diag(NaN, 1) (-0.0 first), which
-    # would pass as positive semidefinite.
-    assert np.isnan(min_eigenvalue(np.diag([bad, 1.0])))
-    assert np.isnan(min_eigenvalue(np.array([np.eye(2), [[1.0, bad], [bad, 1.0]]])))
+    assert np.array_equal(h, np.zeros((2, 2)))
+    assert validate_povm(m[None]).hermiticity_defect == np.inf
 
 
 def test_min_eigenvalue_identity():

@@ -168,6 +168,14 @@ def test_simplex_projection_fixes_simplex_points():
     assert np.max(np.abs(project_to_simplex(v) - v)) < 1e-15
 
 
+def test_simplex_projection_rejects_nan_and_positive_inf():
+    # Neither leaves a feasible index; -inf is an entry the projection sends to 0.
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="NaN or \\+inf"):
+            project_to_simplex([bad, 1.0])
+    assert np.array_equal(project_to_simplex([-np.inf, 1.0]), [0.0, 1.0])
+
+
 # ------------------------------------------------------- density projection
 
 
@@ -734,6 +742,12 @@ def test_classical_invert_rejects_singular_assignment():
     )
     with pytest.raises(ValueError, match="singular"):
         classical_invert(model, np.array([0.5, 0.5]))
+
+
+@pytest.mark.parametrize("z", [[0.3, 0.3, 0.4], [[0.3, 0.7]], 1.0], ids=["length", "2-d", "scalar"])
+def test_classical_invert_rejects_a_wrong_shape(z):
+    with pytest.raises(ValueError, match=r"must have shape \(2,\)"):
+        classical_invert(model_of(identity(2)), z)
 
 
 def test_classical_invert_output_is_on_simplex():

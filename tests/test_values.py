@@ -4,10 +4,15 @@ import pickle
 import numpy as np
 import pytest
 
-from coherent_readout.channels import CptpReport, KrausChannel
+from coherent_readout.channels import CptpReport, KrausChannel, pauli_channel, rotation_y
 from coherent_readout.povm import Povm, PovmReport
-from coherent_readout.readout import ReadoutModel
-from coherent_readout.solver import MitigationProblem, SolverOptions
+from coherent_readout.readout import ReadoutModel, classical_forward
+from coherent_readout.solver import (
+    MitigationProblem,
+    SolverOptions,
+    classical_invert,
+    project_to_density_set,
+)
 from coherent_readout.states import DensityMatrix, StateDecomposition
 
 
@@ -116,3 +121,20 @@ def test_value_types_survive_pickle_and_copy(name):
         for field in type(value).__slots__:
             a = getattr(twin, field)
             assert not (isinstance(a, np.ndarray) and a.flags.writeable)
+
+
+# Each call puts one non-finite number where a finite one belongs.
+NON_FINITE_CALLS = {
+    "pauli_channel": lambda bad: pauli_channel([bad, 0.5, 0.25, 0.25]),
+    "classical_forward": lambda bad: classical_forward(two_level_model(), [bad, 1.0]),
+    "classical_invert": lambda bad: classical_invert(two_level_model(), [bad, 1.0]),
+    "project_to_density_set": lambda bad: project_to_density_set([0.5, 0.5], [bad, 0.0]),
+    "rotation_y": rotation_y,
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("name", NON_FINITE_CALLS)
+def test_public_functions_reject_non_finite_numbers(name, bad):
+    with pytest.raises(ValueError):
+        NON_FINITE_CALLS[name](bad)
