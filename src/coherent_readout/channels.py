@@ -33,7 +33,9 @@ PAULIS.flags.writeable = False
 
 
 def _gram(ops: np.ndarray) -> np.ndarray:
-    """sum_a E_a^dag E_a of a K x N x N stack."""
+    """sum_a E_a^dag E_a of a K x N x N stack; non-finite entries raise ValueError."""
+    if not np.isfinite(ops).all():
+        raise ValueError("Kraus operators contain non-finite entries")
     # Entries near the float range overflow to inf or NaN, a defect that fails.
     with np.errstate(over="ignore", invalid="ignore"):
         return (ops.conj().swapaxes(1, 2) @ ops).sum(axis=0)
@@ -56,7 +58,8 @@ def validate_cptp(ops: np.ndarray | Sequence[np.ndarray]) -> CptpReport:
     """Check the completeness condition sum_a E_a^dag E_a = I at ATOL_PHYSICAL.
 
     ops is a K x N x N stack or a sequence of N x N arrays; the defect is
-    the max-entry norm of sum_a E_a^dag E_a - I.
+    the max-entry norm of sum_a E_a^dag E_a - I. Non-finite entries raise
+    ValueError, as in KrausChannel.
     """
     defect = identity_defect(_gram(as_square_stack(ops, name="Kraus operators")))
     return CptpReport(defect=defect, passed=defect <= ATOL_PHYSICAL)
@@ -76,12 +79,11 @@ class KrausChannel(Frozen):
     def __init__(self, dim: int, kraus_ops: np.ndarray | Sequence[np.ndarray]):
         ops = as_square_stack(kraus_ops, name="Kraus operators").copy()
         self._set(dim=ops.shape[1], kraus_ops=ops)
-        if not np.isfinite(ops).all():
-            raise ValueError("Kraus operators contain non-finite entries")
+        # The stack's shape is checked, so this is validate_cptp's defect, and its
+        # non-finite check, without the re-check of the shape.
+        defect = identity_defect(_gram(ops))
         if ops.shape[1] != dim:
             raise ValueError(f"Kraus operators have dimension {ops.shape[1]}, expected {dim}")
-        # The stack's shape is checked, so the defect is validate_cptp's without its re-check.
-        defect = identity_defect(_gram(ops))
         if not defect <= ATOL_PHYSICAL:
             raise ValueError(
                 f"Kraus operators violate trace preservation: "
@@ -210,6 +212,8 @@ def random_channel(dim: int, n_kraus: int, seed) -> KrausChannel:
     The raw operators G_a are rescaled by S^{-1/2} with S = sum_a G_a^dag G_a,
     which enforces completeness exactly (up to roundoff). Deterministic per seed.
     """
+    if dim < 1:
+        raise ValueError("need a dimension of at least one")
     if n_kraus < 1:
         raise ValueError("need at least one Kraus operator")
     rng = np.random.default_rng(seed)

@@ -16,7 +16,9 @@ linalg.cholesky_gate without it; anything else goes to validate_povm, which
 raises. A Povm keeps no report: channel-validate runs validate_povm on its
 elements for the defects it prints. A Povm holds its elements as one
 read-only N x N x N complex array indexed [k, i, j], laid out by its
-constructor.
+constructor: the Hermitian part of its input, the stack positivity was
+judged on, so every stored element is exactly Hermitian and every module
+downstream reads the same matrices.
 """
 
 from __future__ import annotations
@@ -90,20 +92,22 @@ def validate_povm(elements) -> PovmReport:
 class Povm(Frozen):
     """Validated POVM: Hermitian, positive semidefinite elements summing to I.
 
-    elements may be given as any sequence of N x N arrays; it is stored as a
-    read-only N x N x N complex copy, so later changes to the caller's arrays
-    do not reach the POVM. dim is the stack's N; the argument is only
-    checked against it. A stack that passes the hermiticity and
-    completeness checks and the Cholesky gate is accepted as it is; any
-    other goes to validate_povm, whose report raises (non-finite entries
-    always fail the hermiticity check, so validate_povm names them).
+    elements may be given as any sequence of N x N arrays; the Hermitian
+    part of a copy of them is stored, read-only, as one N x N x N complex
+    array, so later changes to the caller's arrays do not reach the POVM
+    and each stored element equals its conjugate transpose bit for bit. An
+    exactly Hermitian input is its own Hermitian part and is stored
+    unchanged. dim is the stack's N; the argument is only checked against
+    it. A stack that passes the hermiticity and completeness checks and the
+    Cholesky gate is accepted; any other goes to validate_povm, whose
+    report raises (non-finite entries always fail the hermiticity check, so
+    validate_povm names them).
     """
 
     __slots__ = __match_args__ = ("dim", "elements")
 
     def __init__(self, dim: int, elements):
         elems = as_square_stack(elements, name="POVM elements").copy()
-        self._set(dim=elems.shape[1], elements=elems)
         if elems.shape[0] != dim:
             raise ValueError(
                 f"expected {dim} POVM elements for a {dim}-outcome readout, "
@@ -112,6 +116,7 @@ class Povm(Frozen):
         if elems.shape[1] != dim:
             raise ValueError(f"POVM elements have dimension {elems.shape[1]}, expected {dim}")
         hermiticity, h = hermiticity_and_part(elems)
+        self._set(dim=h.shape[1], elements=h)
         if (
             hermiticity <= ATOL_PHYSICAL
             and _completeness_defect(elems) <= ATOL_PHYSICAL

@@ -12,7 +12,10 @@ flattened matrix (or stack) in one step; assembling scatters them, and their
 conjugates, in one step each.
 
 DensityMatrix decides positivity as linalg does: the Cholesky gate accepts
-a state, and only a matrix it declines pays for its smallest eigenvalue.
+a state, and only a matrix it declines pays for its smallest eigenvalue. It
+keeps the Hermitian part that judgement was made on, so its matrix mirrors
+its upper triangle exactly, and decompose and reconstruct are exact inverses
+on it.
 """
 
 from __future__ import annotations
@@ -59,18 +62,21 @@ def pack_coherences(m) -> np.ndarray:
 
 
 class DensityMatrix(Frozen):
-    """Validated quantum state: Hermitian, unit trace, positive semidefinite; a read-only copy.
+    """Validated quantum state: Hermitian, unit trace, positive semidefinite.
 
-    Positivity is accepted by linalg.cholesky_gate; only a matrix the gate
-    declines has its smallest eigenvalue computed, which rejects it or not.
+    matrix is the Hermitian part of a copy of the input, held read-only, so
+    it equals its conjugate transpose bit for bit; an exactly Hermitian
+    input is stored unchanged. Positivity of that part is accepted by
+    linalg.cholesky_gate; only a matrix the gate declines has its smallest
+    eigenvalue computed, which rejects it or not.
     """
 
     __slots__ = __match_args__ = ("matrix",)
 
     def __init__(self, matrix):
         a = as_square_array(matrix, name="density matrix").copy()
-        self._set(matrix=a)
         hermiticity, h = hermiticity_and_part(a)
+        self._set(matrix=h)
         if not hermiticity <= ATOL_PHYSICAL:
             # A NaN or inf always lands here: a - a^dag meets it as NaN,
             # inf or inf - inf. So only a failed matrix pays for the scan.
@@ -154,8 +160,10 @@ def decompose(rho) -> StateDecomposition:
 def reconstruct(decomp: StateDecomposition) -> np.ndarray:
     """Matrix form of a decomposition. Exact inverse of decompose.
 
-    Hermitian by construction; positivity is not implied for arbitrary
-    coordinates, so the return value is a plain array.
+    reconstruct(decompose(rho)) is rho.matrix bit for bit, since a
+    DensityMatrix holds an exactly Hermitian matrix. Hermitian by
+    construction; positivity is not implied for arbitrary coordinates, so
+    the return value is a plain array.
     """
     return assemble_matrix(decomp.populations, decomp.coherences)
 

@@ -378,3 +378,8 @@ def test_random_channel_deterministic_per_seed():
 def test_random_channel_rejects_zero_operators():
     with pytest.raises(ValueError):
         channels.random_channel(2, 0, 1)
+
+
+def test_random_channel_rejects_zero_dimension():
+    with pytest.raises(ValueError, match="^need a dimension of at least one$"):
+        channels.random_channel(0, 2, 0)

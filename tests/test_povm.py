@@ -70,6 +70,19 @@ def test_povm_holds_a_read_only_copy():
         povm.effective_povm(amplitude_damping(0.3)).elements[0][0, 0] = 2.0
 
 
+def test_povm_holds_the_hermitian_part_of_its_elements():
+    # Effective POVMs are exactly Hermitian and are stored as built.
+    for dim in (2, 4, 8):
+        ops = random_channel(dim, 3, seed=dim).kraus_ops
+        built = np.einsum("aki,akj->kij", ops.conj(), ops)
+        assert np.array_equal(povm.Povm(dim, built).elements, built)
+    # Within the 1e-10 tolerance, but not Hermitian: the mirror is off by 6e-11.
+    e0 = np.array([[0.5, 0.1], [0.1 + 6e-11, 0.5]])
+    p = povm.Povm(2, [e0, np.eye(2) - e0])
+    assert np.array_equal(p.elements, p.elements.conj().swapaxes(1, 2))
+    assert np.array_equal(p.elements[0], [[0.5, 0.1 + 3e-11], [0.1 + 3e-11, 0.5]])
+
+
 def test_each_construction_lays_out_its_stack_once(monkeypatch):
     calls = []
 

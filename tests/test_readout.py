@@ -91,18 +91,18 @@ def test_assignment_column_is_basis_state_response():
         assert np.max(np.abs(m.assignment[:, l] - z)) < 1e-13
 
 
-def test_extract_rejects_nonreal_diagonal():
-    # Hermiticity defect 8e-11 slips under the POVM gate but the coefficient
-    # extraction has no real value to assign, so it must refuse.
+def test_extract_accepts_a_povm_within_the_hermiticity_tolerance():
+    # Hermiticity defects up to 8e-11 pass the POVM gate. The Povm keeps the
+    # Hermitian part of its elements, so their diagonals are real, extract
+    # reads them as they are, and its coefficients rebuild the elements.
     f0 = np.array([[0.5 + 4e-11j, 0.0], [0.0, 0.5]])
     f1 = np.eye(2) - f0
-    p = Povm(dim=2, elements=(f0, f1))
-    with pytest.raises(ValueError, match="^POVM element 0 has non-real diagonal$"):
-        extract(p)
-    # The first offending element is named, not the worst one (element 2).
     f = np.array([np.eye(3), np.diag([1.0 + 2e-11j, 1, 1]), np.diag([1, 1.0 + 4e-11j, 1])]) / 3.0
-    with pytest.raises(ValueError, match="^POVM element 1 has non-real diagonal$"):
-        extract(Povm(dim=3, elements=f))
+    for p in (Povm(dim=2, elements=(f0, f1)), Povm(dim=3, elements=f)):
+        m = extract(p)
+        assert np.array_equal(assemble_matrix(m.assignment, m.coherence / 2.0), p.elements)
+        assert np.array_equal(m.assignment, np.full((p.dim, p.dim), 1.0 / p.dim))
+        assert not m.coherence.any()
 
 
 # ------------------------------------------------------------- model checks
@@ -225,6 +225,15 @@ def test_forward_sign_pin_x_rotation_on_y_eigenstate():
     z = forward(model_of(ch), decompose(rho))
     assert abs(z[0] - (0.5 + 0.5 * np.sin(theta))) < 1e-14
     assert np.max(np.abs(z - oracle_probabilities(ch, rho))) < 1e-14
+
+
+def test_forward_matches_the_oracle_on_a_state_within_the_hermiticity_tolerance():
+    # rho[1, 0] is 8e-11 off the mirror of rho[0, 1]; decompose reads the upper
+    # triangle and the oracle the whole matrix, so both must see its Hermitian part.
+    rho = DensityMatrix([[0.5, 0.5], [0.5 + 8e-11, 0.5]])
+    ch = rotation_y(0.7)
+    z = forward(model_of(ch), decompose(rho))
+    assert np.max(np.abs(z - oracle_probabilities(ch, rho))) <= 1e-15
 
 
 def test_forward_rejects_dimension_mismatch():

@@ -4,7 +4,13 @@ import pickle
 import numpy as np
 import pytest
 
-from coherent_readout.channels import CptpReport, KrausChannel, pauli_channel, rotation_y
+from coherent_readout.channels import (
+    CptpReport,
+    KrausChannel,
+    pauli_channel,
+    rotation_y,
+    validate_cptp,
+)
 from coherent_readout.povm import Povm, PovmReport
 from coherent_readout.readout import ReadoutModel, classical_forward
 from coherent_readout.solver import (
@@ -130,6 +136,7 @@ NON_FINITE_CALLS = {
     "classical_invert": lambda bad: classical_invert(two_level_model(), [bad, 1.0]),
     "project_to_density_set": lambda bad: project_to_density_set([0.5, 0.5], [bad, 0.0]),
     "rotation_y": rotation_y,
+    "validate_cptp": lambda bad: validate_cptp([np.diag([bad, 1.0])]),
 }
 
 
