@@ -178,8 +178,8 @@ def channel_to_obj(ch: _channels.KrausChannel) -> dict:
     return {"dim": ch.dim, "kraus": complex_matrix_to_pairs(ch.kraus_ops)}
 
 
-def state_from_obj(obj, dim: int | None = None) -> DensityMatrix:
-    """State from a {'matrix'} or {'x', 'y'} object; of dimension dim, if given."""
+def state_from_obj(obj, dim: int) -> DensityMatrix:
+    """State from a {'matrix'} or {'x', 'y'} object, of dimension dim."""
     if not isinstance(obj, dict):
         raise FormatError("state spec must be a JSON object")
     if "matrix" in obj:
@@ -195,7 +195,7 @@ def state_from_obj(obj, dim: int | None = None) -> DensityMatrix:
         matrix = assemble_matrix(x, _numbers(obj["y"], "'y'", (n * (n - 1),)))
     else:
         raise FormatError("state spec needs either 'matrix' (with 'n' or 'dim') or 'x' and 'y'")
-    if dim is not None and n != dim:
+    if n != dim:
         raise FormatError(f"state spec has dimension {n}, expected {dim}")
     return DensityMatrix(matrix)
 

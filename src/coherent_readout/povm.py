@@ -11,14 +11,15 @@ all those diagonal elements off it at once, apart from the POVM route.
 effective_povm is the one builder of the elements and validate_povm the one
 validator of the POVM axioms (hermiticity, positivity, completeness), which
 measures every defect, positivity by the smallest eigenvalue of the stack.
-Povm accepts a stack that passes the hermiticity and completeness checks and
-linalg.cholesky_gate without it; anything else goes to validate_povm, which
-raises. A Povm keeps no report: channel-validate runs validate_povm on its
-elements for the defects it prints. A Povm holds its elements as one
-read-only N x N x N complex array indexed [k, i, j], laid out by its
-constructor: the Hermitian part of its input, the stack positivity was
-judged on, so every stored element is exactly Hermitian and every module
-downstream reads the same matrices.
+Hermiticity is measured on the input; positivity and completeness on its
+Hermitian part. Povm accepts a stack that passes the hermiticity and
+completeness checks and linalg.cholesky_gate without it; anything else goes
+to validate_povm, which raises. A Povm keeps no report: channel-validate
+runs validate_povm on its elements for the defects it prints. A Povm holds
+its elements as one read-only N x N x N complex array indexed [k, i, j],
+laid out by its constructor: the Hermitian part of its input, the stack
+positivity and completeness were judged on, so every stored element is
+exactly Hermitian and every module downstream reads the same matrices.
 """
 
 from __future__ import annotations
@@ -71,7 +72,8 @@ def validate_povm(elements) -> PovmReport:
     elements is a K x N x N stack, or a sequence of N x N arrays, whose
     shape its caller checked (as Povm does with as_square_stack). The
     positivity defect is the most negative eigenvalue of any element's
-    Hermitian part, clipped at zero; completeness is measured against I.
+    Hermitian part, clipped at zero; completeness is the Hermitian parts'
+    sum measured against I.
     All three pass at ATOL_PHYSICAL; a NaN defect fails.
     """
     f = np.asarray(elements, dtype=complex)
@@ -80,7 +82,7 @@ def validate_povm(elements) -> PovmReport:
     hermiticity, h = hermiticity_and_part(f)
     w_min = float(np.linalg.eigvalsh(h).min())
     positivity = 0.0 if w_min >= 0.0 else -w_min
-    completeness = _completeness_defect(f)
+    completeness = _completeness_defect(h)
     return PovmReport(
         hermiticity_defect=hermiticity,
         positivity_defect=positivity,
@@ -119,7 +121,7 @@ class Povm(Frozen):
         self._set(dim=h.shape[1], elements=h)
         if (
             hermiticity <= ATOL_PHYSICAL
-            and _completeness_defect(elems) <= ATOL_PHYSICAL
+            and _completeness_defect(h) <= ATOL_PHYSICAL
             and cholesky_gate(h, ATOL_PHYSICAL)
         ):
             return

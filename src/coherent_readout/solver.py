@@ -245,8 +245,6 @@ def mitigate(problem: MitigationProblem, options: SolverOptions | None = None) -
         iterations += 1
 
         residual_new = _residual(b, v_new, z)
-        if not math.isfinite(residual_new):
-            raise ValueError("solver diverged to non-finite values")
         if residual_new > residual:
             if t == 1.0:
                 # Without momentum the step cannot raise the residual beyond

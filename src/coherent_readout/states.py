@@ -11,11 +11,12 @@ r*N + l for the mirrored lower one. Packing gathers the upper entries of a
 flattened matrix (or stack) in one step; assembling scatters them, and their
 conjugates, in one step each.
 
-DensityMatrix decides positivity as linalg does: the Cholesky gate accepts
-a state, and only a matrix it declines pays for its smallest eigenvalue. It
-keeps the Hermitian part that judgement was made on, so its matrix mirrors
-its upper triangle exactly, and decompose and reconstruct are exact inverses
-on it.
+DensityMatrix measures hermiticity on its input and judges the trace and
+positivity on the input's Hermitian part, which is what it keeps; so its
+matrix mirrors its upper triangle exactly, and decompose and reconstruct are
+exact inverses on it. Positivity is decided as linalg does: the Cholesky
+gate accepts a state, and only a matrix it declines pays for its smallest
+eigenvalue.
 """
 
 from __future__ import annotations
@@ -66,9 +67,9 @@ class DensityMatrix(Frozen):
 
     matrix is the Hermitian part of a copy of the input, held read-only, so
     it equals its conjugate transpose bit for bit; an exactly Hermitian
-    input is stored unchanged. Positivity of that part is accepted by
-    linalg.cholesky_gate; only a matrix the gate declines has its smallest
-    eigenvalue computed, which rejects it or not.
+    input is stored unchanged. Its trace is judged, and its positivity
+    accepted by linalg.cholesky_gate; only a matrix the gate declines has
+    its smallest eigenvalue computed, which rejects it or not.
     """
 
     __slots__ = __match_args__ = ("matrix",)
@@ -82,10 +83,10 @@ class DensityMatrix(Frozen):
             # inf or inf - inf. So only a failed matrix pays for the scan.
             if not np.isfinite(a).all():
                 raise ValueError("density matrix contains non-finite entries")
-            raise ValueError("density matrix is not Hermitian within 1e-10")
-        trace = complex(a.trace())
+            raise ValueError(f"density matrix is not Hermitian within {ATOL_PHYSICAL:.0e}")
+        trace = complex(h.trace())
         if not abs(trace - 1.0) <= ATOL_PHYSICAL:
-            raise ValueError(f"density matrix trace {trace!r} is not 1 within 1e-10")
+            raise ValueError(f"density matrix trace {trace!r} is not 1 within {ATOL_PHYSICAL:.0e}")
         if cholesky_gate(h, ATOL_PHYSICAL):
             return
         w_min = float(np.linalg.eigvalsh(h)[0])

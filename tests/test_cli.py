@@ -5,6 +5,7 @@ to stdout plus the exit code contract: 0 success, 1 domain failure,
 2 malformed input or usage.
 """
 
+import functools
 import json
 import warnings
 
@@ -25,6 +26,16 @@ EXCITED_STATE = {"n": 1, "matrix": [[0, 0], [0, 0], [0, 0], [1, 0]]}
 AMP_DAMP = {"builtin": "amplitude_damping", "params": {"gamma": 0.3}}
 HUGE_INT = "1" + "0" * 400
 ROTATION = {"builtin": "rotation_y", "params": {"theta": 0.3}}
+TENSOR_3 = {
+    "builtin": "tensor",
+    "params": {
+        "factors": [
+            AMP_DAMP,
+            {"builtin": "rotation_y", "params": {"theta": 0.4}},
+            {"builtin": "dephasing", "params": {"lambda": 0.5}},
+        ]
+    },
+}
 
 
 def run(capsys, *argv):
@@ -219,6 +230,18 @@ def test_forward_both_mode_agrees(capsys, write_json):
     assert code == 0
     assert doc["max_discrepancy"] <= 1e-11
     assert abs(doc["z_model"][0] - (0.5 + 0.5 * np.sin(0.3))) < 1e-12
+    # Every diagonal entry of this state is 0.125 + 3e-11j: within the
+    # hermiticity tolerance, and the Hermitian part kept has trace exactly 1.
+    state_doc = {"n": 3, "matrix": [[0.125, 3e-11] if i % 9 == 0 else [0, 0] for i in range(64)]}
+    rho = formats.state_from_obj(state_doc, 8)
+    assert np.array_equal(rho.matrix, rho.matrix.conj().T)
+    assert np.array_equal(rho.matrix, np.eye(8) / 8)
+    ch = write_json("ch3.json", TENSOR_3)
+    st = write_json("state3.json", state_doc)
+    code, doc = run(capsys, "forward", "--channel", ch, "--state", st, "--mode", "both")
+    assert code == 0
+    assert doc["max_discrepancy"] <= 1e-15
+    assert doc["z_model"] == pytest.approx([0.1625] * 4 + [0.0875] * 4, abs=1e-15)
 
 
 def test_forward_both_mode_reads_the_channel_once(capsys, write_json, monkeypatch):
@@ -535,7 +558,11 @@ def test_schema_violation_is_usage_error(capsys, write_json, argv, docs):
 
 @pytest.mark.parametrize(
     "read, doc",
-    [(formats.model_from_obj, LEVELS_65_MODEL), (formats.state_from_obj, LEVELS_65_STATE)],
+    [
+        (formats.model_from_obj, LEVELS_65_MODEL),
+        # The 64-level check comes before the comparison with dim.
+        (functools.partial(formats.state_from_obj, dim=64), LEVELS_65_STATE),
+    ],
     ids=["model", "state"],
 )
 def test_implied_dimension_is_held_to_64(read, doc):

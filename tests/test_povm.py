@@ -96,9 +96,18 @@ def test_each_construction_lays_out_its_stack_once(monkeypatch):
     assert calls == ["Kraus operators", "POVM elements"]
 
 
+def basis_with_imaginary_corner():
+    """|k><k| + 0.5e-10j |0><0|; they sum to I + 2e-10j |0><0|, their Hermitian parts to I."""
+    return [np.diag(e_k) + 0.5e-10j * unit(4, 0, 0) for e_k in np.eye(4)]
+
+
 def test_povm_rejects_broken_completeness():
     with pytest.raises(ValueError, match="completeness"):
         povm.Povm(2, (np.eye(2), np.eye(2)))
+    # Completeness is judged on the Hermitian parts, which are what is kept.
+    p = povm.Povm(4, basis_with_imaginary_corner())
+    assert np.array_equal(p.elements, p.elements.conj().swapaxes(1, 2))
+    assert np.array_equal(p.elements, [np.diag(e_k) for e_k in np.eye(4)])
 
 
 def test_povm_rejects_nonhermitian_element():
@@ -121,6 +130,10 @@ def test_validate_povm_reports_each_defect():
     assert report.completeness_defect == pytest.approx(0.6)
     assert not report.passed
     assert povm.validate_povm(povm.effective_povm(identity(2)).elements).passed
+    report = povm.validate_povm(basis_with_imaginary_corner())
+    assert report.hermiticity_defect == pytest.approx(1e-10)
+    assert report.completeness_defect == 0.0
+    assert report.passed
 
 
 def test_validate_povm_measures_defects_near_overflow():

@@ -332,6 +332,24 @@ def test_overflowing_distribution_is_rejected():
         mitigate(problem)
 
 
+@pytest.mark.parametrize(
+    "ch",
+    [amplitude_damping(0.3), rotation_y(0.4), random_channel(4, 3, 1)],
+    ids=["amplitude-damping", "rotation-y", "random-4"],
+)
+def test_loop_keeps_a_finite_residual_at_the_overflow_edge(ch):
+    # ||z|| is 1.27e154, just below where r @ r overflows, so the start's
+    # test passes. Each iterate is a state, so ||B v|| <= sqrt(N) can move
+    # the residual by less than one ulp at this size: the loop needs no
+    # overflow test of its own.
+    z = np.zeros(ch.dim)
+    z[0], z[-1] = 9e153, -9e153
+    res = mitigate(MitigationProblem(model=model_of(ch), z_observed=z))
+    assert res.converged
+    assert 1 <= res.iterations <= 3
+    assert res.residual == 1.2727922061357856e154
+
+
 def test_problem_rejects_non_finite():
     with pytest.raises(ValueError, match="finite"):
         MitigationProblem(model=model_of(identity(2)), z_observed=np.array([np.nan, 1.0]))

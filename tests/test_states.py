@@ -163,13 +163,18 @@ def test_coherence_minor_bound(n, seed):
 
 
 def test_density_matrix_rejects_nonhermitian():
-    with pytest.raises(ValueError, match="Hermitian"):
+    with pytest.raises(ValueError, match="^density matrix is not Hermitian within 1e-10$"):
         DensityMatrix(np.array([[0.5, 0.5], [0.0, 0.5]]))
 
 
 def test_density_matrix_rejects_bad_trace():
-    with pytest.raises(ValueError, match="trace"):
+    with pytest.raises(ValueError, match=r"^density matrix trace \(2\+0j\) is not 1 within 1e-10$"):
         DensityMatrix(np.eye(2))
+    # The trace is judged on the Hermitian part, which is what is kept: the
+    # input's trace is 1 + 1.5e-10j, its Hermitian part's exactly 1.
+    rho = DensityMatrix(np.eye(3) / 3 + 0.5e-10j * np.eye(3))
+    assert np.array_equal(rho.matrix, rho.matrix.conj().T)
+    assert np.array_equal(rho.matrix, np.eye(3) / 3)
 
 
 NAN, INF = np.nan, np.inf
