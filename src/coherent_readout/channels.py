@@ -170,8 +170,10 @@ def pauli_channel(probs: Sequence[float]) -> KrausChannel:
         raise ValueError(f"probs must have length 4**n, got {p.size}")
     if np.any(p < 0.0):
         raise ValueError("probabilities must be non-negative")
-    if not abs(p.sum() - 1.0) <= ATOL_STRUCTURAL:
-        raise ValueError(f"probabilities must sum to 1, got {p.sum()!r}")
+    with np.errstate(over="ignore"):  # an overflowing sum is inf, rejected below
+        total = p.sum()
+    if not abs(total - 1.0) <= ATOL_STRUCTURAL:
+        raise ValueError(f"probabilities must sum to 1, got {total!r}")
 
     strings = np.ones((1, 1, 1), dtype=complex)
     for _ in range(n):

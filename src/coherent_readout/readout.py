@@ -22,7 +22,7 @@ import numpy as np
 from .channels import KrausChannel, amplitude_damping, apply, dephasing, rotation_y
 from .linalg import ATOL_PHYSICAL, Frozen
 from .povm import Povm
-from .states import DensityMatrix, StateDecomposition, assemble_matrix, pack_coherences
+from .states import DensityMatrix, StateDecomposition, assemble_matrix, split_matrix
 
 
 class ReadoutModel(Frozen):
@@ -43,12 +43,7 @@ class ReadoutModel(Frozen):
         c = np.array(coherence, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"assignment matrix must be square, got shape {a.shape}")
-        n = a.shape[0]
-        if c.shape != (n, n * (n - 1)):
-            raise ValueError(
-                f"coherence response must have shape ({n}, {n * (n - 1)}), got {c.shape}"
-            )
-        Povm(n, assemble_matrix(a, c / 2.0))
+        Povm(a.shape[0], assemble_matrix(a, c / 2.0))
         self._set(assignment=a, coherence=c)
 
     @property
@@ -59,14 +54,15 @@ class ReadoutModel(Frozen):
 def extract(p: Povm) -> ReadoutModel:
     """Read the model coefficients off the POVM elements.
 
-    p was validated when it was built, so the model skips the rebuild and
-    second validation that ReadoutModel(A, C) runs on coefficients of
-    unknown origin. Its elements are exactly Hermitian, so their diagonals
-    are real and assemble_matrix(A, C / 2) rebuilds them bit for bit.
+    Row k of A and of C / 2 are the populations and coherences that
+    split_matrix reads off F_k. p was validated when it was built, so the
+    model skips the rebuild and second validation that ReadoutModel(A, C)
+    runs on coefficients of unknown origin. Its elements are exactly
+    Hermitian, so their diagonals are real and assemble_matrix(A, C / 2)
+    rebuilds them bit for bit.
     """
-    diag = np.diagonal(p.elements, axis1=1, axis2=2)
-    coherence = 2.0 * pack_coherences(p.elements)
-    return object.__new__(ReadoutModel)._set(assignment=diag.real.copy(), coherence=coherence)
+    x, y = split_matrix(p.elements)
+    return object.__new__(ReadoutModel)._set(assignment=x, coherence=2.0 * y)
 
 
 def forward(model: ReadoutModel, decomp: StateDecomposition) -> np.ndarray:
@@ -81,8 +77,10 @@ def classical_forward(model: ReadoutModel, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != (model.dim,):
         raise ValueError(f"population vector must have shape ({model.dim},)")
-    if not abs(x.sum() - 1.0) <= ATOL_PHYSICAL:
-        raise ValueError(f"populations must sum to 1, got {x.sum()!r}")
+    with np.errstate(over="ignore"):  # an overflowing sum is inf, rejected below
+        total = x.sum()
+    if not abs(total - 1.0) <= ATOL_PHYSICAL:
+        raise ValueError(f"populations must sum to 1, got {total!r}")
     return model.assignment @ x
 
 

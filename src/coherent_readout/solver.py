@@ -145,11 +145,13 @@ def project_to_density_set(x, y, gate: bool = False) -> tuple[np.ndarray, np.nda
     rank-deficient state among them, takes the eigensolve as without it.
     """
     m = assemble_matrix(x, y)
-    if gate and abs(np.sum(x) - 1.0) <= _DISPLACEMENT_TOL and cholesky_gate(m, 0.0):
-        return np.array(x, dtype=float), np.array(y, dtype=float)
-    w, v = np.linalg.eigh(m)
-    if w[0] >= 0.0 and abs(w.sum() - 1.0) <= _DISPLACEMENT_TOL:
-        return np.array(x, dtype=float), np.array(y, dtype=float)
+    # A sum that overflows is inf, which fails its test, so it need not warn.
+    with np.errstate(over="ignore"):
+        if gate and abs(np.sum(x) - 1.0) <= _DISPLACEMENT_TOL and cholesky_gate(m, 0.0):
+            return np.array(x, dtype=float), np.array(y, dtype=float)
+        w, v = np.linalg.eigh(m)
+        if w[0] >= 0.0 and abs(w.sum() - 1.0) <= _DISPLACEMENT_TOL:
+            return np.array(x, dtype=float), np.array(y, dtype=float)
     w = project_to_simplex(w)
     return split_matrix((v * w) @ v.conj().T)
 
@@ -190,7 +192,7 @@ def _start(p: np.ndarray, gram: np.ndarray, z: np.ndarray) -> np.ndarray:
         mu = np.linalg.solve(gram, z) if definite else np.linalg.lstsq(gram, z, rcond=None)[0]
         v_star = p.T @ mu
     if not np.isfinite(v_star).all():
-        return np.concatenate([np.full(n, 1.0 / n), np.zeros(n * (n - 1))])
+        return np.concatenate(split_matrix(np.eye(n) / n))
     return np.concatenate(project_to_density_set(v_star[:n], v_star[n:], gate=True))
 
 

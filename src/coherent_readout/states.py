@@ -5,10 +5,12 @@ x_l = <l|rho|l> and N(N-1) real coherence coordinates packing the upper
 triangle: for each pair l < r in lexicographic order, the entry
 c_lr = <l|rho|r> contributes (Re c_lr, Im c_lr) consecutively. That layout
 is shared by the readout model's coherence-response matrix and the
-mitigation solver, so it is defined once here, as one cached pair of flat
-indices into the row-major N*N entries: l*N + r for the upper triangle and
-r*N + l for the mirrored lower one. Packing gathers the upper entries of a
-flattened matrix (or stack) in one step; assembling scatters them, and their
+mitigation solver, so it is defined once here: split_matrix is its one
+reader and assemble_matrix its one writer, and the one judge of its
+N(N-1) shape. Both take a matrix or a stack, and both work on one cached
+pair of flat indices into the row-major N*N entries: l*N + r for the upper
+triangle and r*N + l for the mirrored lower one. split_matrix gathers the
+upper entries in one step; assemble_matrix scatters them, and their
 conjugates, in one step each.
 
 DensityMatrix measures hermiticity on its input and judges the trace and
@@ -46,22 +48,6 @@ def _upper_index(dim: int) -> tuple[np.ndarray, np.ndarray]:
     return upper, lower
 
 
-def pack_coherences(m) -> np.ndarray:
-    """Upper-triangle entries of m as interleaved (Re, Im) coordinates.
-
-    m is a complex array whose last two axes are N x N; leading axes are
-    kept, so a stack of K matrices gives a K x N(N-1) array.
-    """
-    m = np.asarray(m, dtype=complex)
-    n = m.shape[-1]
-    upper = _upper_index(n)[0]
-    # The float view of a C-contiguous complex128 array is exactly the
-    # (Re, Im) interleaving. The gather need not come out C-contiguous (for
-    # a stack it does not), so it is made so first.
-    flat = m.reshape(m.shape[:-2] + (n * n,))
-    return np.ascontiguousarray(flat[..., upper]).view(float)
-
-
 class DensityMatrix(Frozen):
     """Validated quantum state: Hermitian, unit trace, positive semidefinite.
 
@@ -84,7 +70,8 @@ class DensityMatrix(Frozen):
             if not np.isfinite(a).all():
                 raise ValueError("density matrix contains non-finite entries")
             raise ValueError(f"density matrix is not Hermitian within {ATOL_PHYSICAL:.0e}")
-        trace = complex(h.trace())
+        with np.errstate(over="ignore"):  # an overflowing trace is inf, rejected below
+            trace = complex(h.trace())
         if not abs(trace - 1.0) <= ATOL_PHYSICAL:
             raise ValueError(f"density matrix trace {trace!r} is not 1 within {ATOL_PHYSICAL:.0e}")
         if cholesky_gate(h, ATOL_PHYSICAL):
@@ -111,11 +98,6 @@ class StateDecomposition(Frozen):
         y = np.array(coherences, dtype=float)
         if x.ndim != 1 or x.size == 0:
             raise ValueError("populations must be a non-empty 1-d real vector")
-        n = x.size
-        if y.ndim != 1 or y.size != n * (n - 1):
-            raise ValueError(
-                f"coherence vector must have length N(N-1) = {n * (n - 1)}, got {y.size}"
-            )
         DensityMatrix(assemble_matrix(x, y))
         self._set(populations=x, coherences=y)
 
@@ -125,15 +107,28 @@ class StateDecomposition(Frozen):
 
 
 def split_matrix(m) -> tuple[np.ndarray, np.ndarray]:
-    """Raw coordinate extraction from a Hermitian matrix; no physicality checks."""
-    a = as_square_array(m)
-    return a.diagonal().real.copy(), pack_coherences(a)
+    """Populations x and packed coherences y of a Hermitian matrix; no physicality checks.
+
+    m is a complex array whose last two axes are N x N; leading axes are
+    kept, so a stack of K matrices gives K x N and K x N(N-1) arrays.
+    """
+    a = np.asarray(m, dtype=complex)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"matrix must be square in its last two axes, got shape {a.shape}")
+    n = a.shape[-1]
+    # The float view of a C-contiguous complex128 array is exactly the
+    # (Re, Im) interleaving. The gather need not come out C-contiguous (for
+    # a stack it does not), so it is made so first.
+    upper = a.reshape(a.shape[:-2] + (n * n,))[..., _upper_index(n)[0]]
+    return a.diagonal(0, -2, -1).real.copy(), np.ascontiguousarray(upper).view(float)
 
 
 def assemble_matrix(x, y) -> np.ndarray:
-    """Inverse of split_matrix and pack_coherences; Hermitian by construction.
+    """Inverse of split_matrix; Hermitian by construction.
 
-    Leading axes of x (..., N) and y (..., N(N-1)) are kept: K rows give K x N x N.
+    Leading axes of x (..., N) and y (..., N(N-1)) are kept: K rows give
+    K x N x N. This is the one check of the coordinate layout's shape, so
+    StateDecomposition and ReadoutModel reject mismatched coordinates here.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)

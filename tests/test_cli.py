@@ -539,12 +539,29 @@ LEVELS_65_STATE = {"x": [1] + [0] * 64, "y": [0] * (65 * 64)}
          {"model": LEVELS_65_MODEL, "state": LEVELS_65_STATE}),
         (["mitigate", "--model", "model", "--z", "z"], {"model": LEVELS_65_MODEL, "z": {"z": [1] + [0] * 64}}),
         (["forward", "--channel", "ch", "--state", "state"], {"state": LEVELS_65_STATE}),
+        (["channel-validate", "--channel", "ch"], {"ch": {"dim": 2}}),
+        (["channel-validate", "--channel", "ch"], {"ch": {"dim": 2, "n": 2, "kraus": [[[1, 0]] * 4]}}),
+        (["channel-validate", "--channel", "ch"], {"ch": {"dim": 2, "kraus": []}}),
+        (["channel-validate", "--channel", "ch"],
+         {"ch": {"builtin": "tensor", "params": {"factors": [AMP_DAMP]}}}),
+        (["channel-validate", "--channel", "ch"], {"ch": {"builtin": "nope"}}),
+        (["forward", "--channel", "ch", "--state", "state"], {"state": {"n": 1}}),
+        (["forward", "--model", "model", "--state", "state"],
+         {"model": {"A": [[1, 0], [0, 1]], "C": [[0, 0], [0, 0]], "column_order": "x"}}),
+        (["forward", "--model", "model", "--state", "state"], {"model": {"A": [], "C": []}}),
+        (["forward", "--model", "model", "--state", "state"],
+         {"model": {"dim": 4, "A": [[1, 0], [0, 1]], "C": [[0, 0], [0, 0]]}}),
+        (["mitigate", "--channel", "ch", "--counts", "counts"], {"counts": {"counts": [-1, 2]}}),
+        (["mitigate", "--channel", "ch", "--counts", "counts"], {"counts": {"counts": [0, 0]}}),
     ],
     ids=["short-y", "empty-x", "wrong-C-shape", "non-square-A", "negative-seed",
          "state-vs-channel", "state-vs-model", "model-vs-state", "oracle-state-vs-channel",
          "sample-state-vs-channel", "model-vs-channel", "shots-string", "shots-not-the-sum",
          "shots-boolean", "shots-float", "shots-null", "counts-sum-overflows", "shots-beyond-int64",
-         "model-above-64-forward", "model-above-64-mitigate", "state-above-64"],
+         "model-above-64-forward", "model-above-64-mitigate", "state-above-64",
+         "channel-without-kraus", "channel-dim-vs-n", "channel-empty-kraus", "tensor-of-one",
+         "unknown-builtin", "state-without-matrix", "column-order", "model-empty-A",
+         "model-dim-vs-A", "counts-negative", "counts-all-zero"],
 )
 def test_schema_violation_is_usage_error(capsys, write_json, argv, docs):
     docs = {"ch": AMP_DAMP, "state": GROUND_STATE, **docs}
@@ -752,3 +769,18 @@ def test_keyboard_interrupt_is_not_caught(monkeypatch):
     monkeypatch.setattr(cli, "cmd_paper_examples", interrupted)
     with pytest.raises(KeyboardInterrupt):
         main(["paper-examples"])
+
+
+def test_sample_refuses_negative_outcome_probabilities(capsys, write_json):
+    # The state is valid within 1e-10, but full damping on the first qubit
+    # sends its two negative populations to one outcome: -1.8e-10.
+    ch = write_json("ch.json", {"builtin": "tensor", "params": {"factors": [
+        {"builtin": "amplitude_damping", "params": {"gamma": 1.0}}, {"builtin": "identity"}]}})
+    diagonal = [-0.9e-10, 0.5 + 0.9e-10, -0.9e-10, 0.5 + 0.9e-10]
+    matrix = [[diagonal[i // 5], 0] if i % 5 == 0 else [0, 0] for i in range(16)]
+    state = write_json("state.json", {"n": 2, "matrix": matrix})
+    code = main(["sample", "--channel", ch, "--state", state, "--shots", "10"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: outcome distribution has negative entry -1.800e-10\n"

@@ -804,3 +804,20 @@ def test_coherence_blind_inversion_fails_where_mitigation_succeeds():
 
     res = mitigate(MitigationProblem(model=model, z_observed=z))
     assert res.converged and res.residual <= 1e-8
+
+
+@pytest.mark.parametrize(
+    "channel, z",
+    [
+        (lambda: amplitude_damping(0.3), [1.7e308, -1.7e308]),
+        (lambda: random_channel(4, 3, 1), [1e308, 0.5, 0.5, 0.5]),
+    ],
+    ids=["amplitude_damping", "random_channel"],
+)
+def test_start_falls_back_to_the_maximally_mixed_state(monkeypatch, channel, z):
+    # v* overflows, so the start is I/N, taken without a projection; its
+    # residual against so large a z overflows in turn.
+    model = extract(effective_povm(channel()))
+    monkeypatch.setattr(solver, "project_to_density_set", lambda *a, **k: pytest.fail("projected"))
+    with pytest.raises(ValueError, match="out of range"):
+        mitigate(MitigationProblem(model, z))

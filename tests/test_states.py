@@ -10,7 +10,6 @@ from coherent_readout.states import (
     StateDecomposition,
     assemble_matrix,
     decompose,
-    pack_coherences,
     random_density,
     reconstruct,
     split_matrix,
@@ -26,7 +25,7 @@ def test_coherence_pairs_order():
     for dim in (2, 3, 8):
         # Entry (l, r) holds l + i r, so the packed coordinates spell out the pairs.
         m = np.add.outer(np.arange(dim), 1j * np.arange(dim))
-        assert pack_coherences(m).reshape(-1, 2).tolist() == [[l, r] for l, r in coherence_pairs(dim)]
+        assert split_matrix(m)[1].reshape(-1, 2).tolist() == [[l, r] for l, r in coherence_pairs(dim)]
 
 
 def hermitian_from_upper_by_loop(m):
@@ -48,16 +47,22 @@ def test_layout_round_trips_on_stacks_einsum_output_and_transposed_views(dim):
     transposed = ops.transpose(0, 2, 1)
     nested = ops.reshape(3, 1, dim, dim).repeat(2, axis=1)
     for m in (einsum_out, transposed, nested, einsum_out[0], transposed[2]):
-        x = np.diagonal(m, axis1=-2, axis2=-1).real
-        y = pack_coherences(m)
+        x, y = split_matrix(m)
+        assert np.array_equal(x, np.diagonal(m, axis1=-2, axis2=-1).real)
         assert y.shape == m.shape[:-2] + (dim * (dim - 1),)
         assembled = assemble_matrix(x, y)
         rows = m.reshape(-1, dim, dim)
         for got, one in zip(assembled.reshape(-1, dim, dim), rows):
             assert np.array_equal(got, hermitian_from_upper_by_loop(one))
-        assert np.array_equal(pack_coherences(assembled), y)
+        assert np.array_equal(split_matrix(assembled)[1], y)
         # Coordinates given as a transposed (column-major) array assemble alike.
         assert np.array_equal(assemble_matrix(np.asfortranarray(x), np.asfortranarray(y)), assembled)
+
+
+@pytest.mark.parametrize("shape", [(), (3,), (2, 3), (2, 2, 3)])
+def test_split_matrix_rejects_non_square_last_axes(shape):
+    with pytest.raises(ValueError, match="square in its last two axes"):
+        split_matrix(np.zeros(shape))
 
 
 def test_decompose_basis_state():

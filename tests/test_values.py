@@ -7,16 +7,18 @@ import pytest
 from coherent_readout.channels import (
     CptpReport,
     KrausChannel,
+    amplitude_damping,
     pauli_channel,
     rotation_y,
     validate_cptp,
 )
-from coherent_readout.povm import Povm, PovmReport
-from coherent_readout.readout import ReadoutModel, classical_forward
+from coherent_readout.povm import Povm, PovmReport, effective_povm
+from coherent_readout.readout import ReadoutModel, classical_forward, extract
 from coherent_readout.solver import (
     MitigationProblem,
     SolverOptions,
     classical_invert,
+    mitigate,
     project_to_density_set,
 )
 from coherent_readout.states import DensityMatrix, StateDecomposition
@@ -145,3 +147,35 @@ NON_FINITE_CALLS = {
 def test_public_functions_reject_non_finite_numbers(name, bad):
     with pytest.raises(ValueError):
         NON_FINITE_CALLS[name](bad)
+
+
+def damping_problem(z):
+    return MitigationProblem(extract(effective_povm(amplitude_damping(0.3))), z)
+
+
+# Finite input whose trace, populations or probabilities sum past the float
+# range: (call, the message it raises, or None where it returns). The sum is
+# inf and judged as such, without a RuntimeWarning, which the test
+# configuration turns into an error.
+OVERFLOWING_SUMS = {
+    "DensityMatrix": (lambda: DensityMatrix(np.diag([1e308, 1e308])), r"trace \(inf\+0j\)"),
+    "StateDecomposition": (lambda: StateDecomposition([1e308, 1e308], [0.0, 0.0]), r"trace \(inf\+0j\)"),
+    "classical_forward": (lambda: classical_forward(two_level_model(), [1e308, 1e308]), "populations must sum to 1"),
+    "pauli_channel": (lambda: pauli_channel([1e308, 1e308, 0.0, 0.0]), "probabilities must sum to 1"),
+    "project_to_density_set": (lambda: project_to_density_set([1e308, 1e308], [0.0, 0.0]), None),
+    "project_to_density_set-gate": (
+        lambda: project_to_density_set([1e308, 1e308], [0.0, 0.0], gate=True), None,
+    ),
+    "mitigate": (lambda: mitigate(damping_problem([1e308, 1e308])), "out of range"),
+}
+
+
+@pytest.mark.parametrize("name", OVERFLOWING_SUMS)
+def test_overflowing_sums_are_judged_without_warning(name):
+    call, message = OVERFLOWING_SUMS[name]
+    if message is not None:
+        with pytest.raises(ValueError, match=message):
+            call()
+        return
+    x, y = call()
+    assert np.array_equal(x, [0.5, 0.5]) and np.array_equal(y, [0.0, 0.0])
