@@ -145,13 +145,19 @@ def project_to_density_set(x, y, gate: bool = False) -> tuple[np.ndarray, np.nda
     rank-deficient state among them, takes the eigensolve as without it.
     """
     m = assemble_matrix(x, y)
-    # A sum that overflows is inf, which fails its test, so it need not warn.
-    with np.errstate(over="ignore"):
-        if gate and abs(np.sum(x) - 1.0) <= _DISPLACEMENT_TOL and cholesky_gate(m, 0.0):
+    if gate:
+        # An overflowing trace is inf, which fails the test. The array's own
+        # sum costs half of np.sum(x), which pays for the errstate block.
+        with np.errstate(over="ignore"):
+            trace = np.asarray(x, dtype=float).sum()
+        if abs(trace - 1.0) <= _DISPLACEMENT_TOL and cholesky_gate(m, 0.0):
             return np.array(x, dtype=float), np.array(y, dtype=float)
-        w, v = np.linalg.eigh(m)
-        if w[0] >= 0.0 and abs(w.sum() - 1.0) <= _DISPLACEMENT_TOL:
-            return np.array(x, dtype=float), np.array(y, dtype=float)
+    w, v = np.linalg.eigh(m)
+    # Given the other two tests, w[-1] <= w.sum() <= 1 + tol, so the middle
+    # one changes no decision; it keeps a spectrum near the float range from
+    # reaching the sum, where it would overflow.
+    if w[0] >= 0.0 and w[-1] <= 1.0 + _DISPLACEMENT_TOL and abs(w.sum() - 1.0) <= _DISPLACEMENT_TOL:
+        return np.array(x, dtype=float), np.array(y, dtype=float)
     w = project_to_simplex(w)
     return split_matrix((v * w) @ v.conj().T)
 

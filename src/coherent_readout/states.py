@@ -116,11 +116,10 @@ def split_matrix(m) -> tuple[np.ndarray, np.ndarray]:
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"matrix must be square in its last two axes, got shape {a.shape}")
     n = a.shape[-1]
-    # The float view of a C-contiguous complex128 array is exactly the
-    # (Re, Im) interleaving. The gather need not come out C-contiguous (for
-    # a stack it does not), so it is made so first.
-    upper = a.reshape(a.shape[:-2] + (n * n,))[..., _upper_index(n)[0]]
-    return a.diagonal(0, -2, -1).real.copy(), np.ascontiguousarray(upper).view(float)
+    # take gathers into a new C-contiguous array, whose float view is
+    # exactly the (Re, Im) interleaving.
+    upper = a.reshape(a.shape[:-2] + (n * n,)).take(_upper_index(n)[0], axis=-1)
+    return a.diagonal(0, -2, -1).real.copy(), upper.view(float)
 
 
 def assemble_matrix(x, y) -> np.ndarray:
