@@ -95,7 +95,7 @@ def apply(ch: KrausChannel, rho) -> np.ndarray:
     """Schroedinger picture: E(rho) = sum_a E_a rho E_a^dag."""
     a = as_square_array(rho, name="rho")
     if a.shape[0] != ch.dim:
-        raise ValueError(f"state dimension {a.shape[0]} does not match channel dim {ch.dim}")
+        raise ValueError(f"dimension mismatch: channel {ch.dim}, state {a.shape[0]}")
     ops = ch.kraus_ops
     return (ops @ a @ ops.conj().swapaxes(1, 2)).sum(axis=0)
 
@@ -104,7 +104,7 @@ def adjoint_apply(ch: KrausChannel, m) -> np.ndarray:
     """Heisenberg picture: E^dag(m) = sum_a E_a^dag m E_a."""
     a = as_square_array(m)
     if a.shape[0] != ch.dim:
-        raise ValueError(f"operator dimension {a.shape[0]} does not match channel dim {ch.dim}")
+        raise ValueError(f"dimension mismatch: channel {ch.dim}, operator {a.shape[0]}")
     ops = ch.kraus_ops
     return (ops.conj().swapaxes(1, 2) @ a @ ops).sum(axis=0)
 

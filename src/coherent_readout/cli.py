@@ -47,18 +47,21 @@ def _emit(obj, out_path) -> None:
 
 
 def _load_channel(path) -> channels.KrausChannel:
+    """The channel of the --channel file.
+
+    --channel is optional only where a --model file can stand in for it, so
+    without a path neither source was given.
+    """
+    if not path:
+        raise formats.FormatError("need --model or --channel")
     return formats.channel_from_obj(formats.load_json_file(path))
 
 
-def _load_model_or_extract(args, ch=None) -> readout.ReadoutModel:
-    """The --model file's model, else the model of ch or of the --channel file."""
+def _load_model_or_extract(args) -> readout.ReadoutModel:
+    """The --model file's model, else the model of the --channel file."""
     if args.model:
         return formats.model_from_obj(formats.load_json_file(args.model))
-    if ch is None and args.channel:
-        ch = _load_channel(args.channel)
-    if ch is None:
-        raise formats.FormatError("need --model or --channel")
-    return readout.extract(povm.effective_povm(ch))
+    return readout.extract(povm.effective_povm(_load_channel(args.channel)))
 
 
 def cmd_channel_validate(args) -> tuple[dict, int, str | None]:
@@ -105,21 +108,25 @@ def cmd_model_extract(args) -> tuple[dict, int, str | None]:
 
 def cmd_forward(args) -> tuple[dict, int, str | None]:
     mode = args.mode
+    # The model route runs unless mode is oracle, the oracle route unless it is model.
     if mode != "model" and not args.channel:
         raise formats.FormatError("oracle mode needs --channel")
-    # Without --model, the channel is read once and serves both routes.
-    ch = _load_channel(args.channel) if mode != "model" and not args.model else None
-    model = _load_model_or_extract(args, ch) if mode != "oracle" else None
-    if mode != "model" and ch is None:
-        ch = _load_channel(args.channel)
+    # Each file is read once, --model before --channel. Without --model the
+    # channel serves both routes.
+    model = None
+    if mode != "oracle" and args.model:
+        model = formats.model_from_obj(formats.load_json_file(args.model))
+    ch = _load_channel(args.channel) if mode != "model" or model is None else None
+    if mode != "oracle" and model is None:
+        model = readout.extract(povm.effective_povm(ch))
     if model is not None and ch is not None and model.dim != ch.dim:
         raise formats.FormatError(f"model has dimension {model.dim}, channel {ch.dim}")
     rho = formats.state_from_obj(formats.load_json_file(args.state), (ch or model).dim)
     out: dict = {}
-    if model is not None:
+    if mode != "oracle":
         z_model = readout.forward(model, decompose(rho))
         out["z_model" if mode == "both" else "z"] = z_model.tolist()
-    if ch is not None:
+    if mode != "model":
         z_oracle = readout.oracle_probabilities(ch, rho)
         out["z_oracle" if mode == "both" else "z"] = z_oracle.tolist()
     if mode == "both":
@@ -228,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["model", "oracle", "both"], default="model")
 
     p = add("oracle", cmd_forward, "predict by applying the channel to the state")
-    p.set_defaults(mode="oracle", model=None)
+    p.set_defaults(mode="oracle")
     p.add_argument("--channel", required=True)
     p.add_argument("--state", required=True)
 

@@ -8,6 +8,11 @@ Every number a document holds is read by one reader, _numbers: it takes
 only JSON numbers (int or float; not bool, str or null), nested as lists at
 exactly the shape the field expects, and finite within the float range.
 Anything else raises FormatError.
+
+A channel spec has one reader per form: _builtin_channel reads a
+{'builtin', 'params'} spec whole, and channel_ops_from_obj an explicit
+Kraus list. channel_from_obj sends a spec to one of them; only the factors
+of a tensor or compose spec are read again, each as a spec of its own.
 """
 
 from __future__ import annotations
@@ -112,7 +117,7 @@ def channel_ops_from_obj(obj) -> tuple[int, np.ndarray]:
     if not isinstance(obj, dict):
         raise FormatError("channel spec must be a JSON object")
     if "builtin" in obj:
-        ch = channel_from_obj(obj)
+        ch = _builtin_channel(obj)
         return ch.dim, ch.kraus_ops
     dim = _read_dim(obj, "channel spec")
     kraus = _require(obj, "kraus", "channel spec")
@@ -122,7 +127,15 @@ def channel_ops_from_obj(obj) -> tuple[int, np.ndarray]:
     return dim, pairs.view(complex).reshape(-1, dim, dim)
 
 
-def _builtin_channel(name: str, params: dict) -> _channels.KrausChannel:
+def _builtin_channel(obj: dict) -> _channels.KrausChannel:
+    """The channel of a {'builtin', 'params'} spec; the one reader of such a spec."""
+    name = obj["builtin"]
+    if not isinstance(name, str):
+        raise FormatError("'builtin' must be a string")
+    params = obj.get("params", {})
+    if not isinstance(params, dict):
+        raise FormatError("'params' must be an object")
+
     def param(key: str) -> float:
         return float(_numbers(_require(params, key, f"{name} params"), key))
 
@@ -160,18 +173,9 @@ def _builtin_channel(name: str, params: dict) -> _channels.KrausChannel:
 
 
 def channel_from_obj(obj) -> _channels.KrausChannel:
-    if not isinstance(obj, dict):
-        raise FormatError("channel spec must be a JSON object")
-    if "builtin" in obj:
-        name = obj["builtin"]
-        if not isinstance(name, str):
-            raise FormatError("'builtin' must be a string")
-        params = obj.get("params", {})
-        if not isinstance(params, dict):
-            raise FormatError("'params' must be an object")
-        return _builtin_channel(name, params)
-    dim, ops = channel_ops_from_obj(obj)
-    return _channels.KrausChannel(dim, ops)
+    if isinstance(obj, dict) and "builtin" in obj:
+        return _builtin_channel(obj)
+    return _channels.KrausChannel(*channel_ops_from_obj(obj))
 
 
 def channel_to_obj(ch: _channels.KrausChannel) -> dict:

@@ -84,8 +84,8 @@ class Frozen:
 
 def as_square_array(m, name: str = "matrix") -> np.ndarray:
     a = np.asarray(m, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"{name} must be a square 2-d array, got shape {a.shape}")
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
+        raise ValueError(f"{name} must be a non-empty square 2-d array, got shape {a.shape}")
     return a
 
 

@@ -148,6 +148,8 @@ def effective_povm(ch: KrausChannel) -> Povm:
 
 def kernel(ch: KrausChannel, s: int, t: int) -> np.ndarray:
     """Image of the matrix unit |s><t| under the channel. Computed on demand."""
+    if not all(isinstance(i, (int, np.integer)) for i in (s, t)):
+        raise TypeError(f"kernel indices must be integers, got ({s!r}, {t!r})")
     if not (0 <= s < ch.dim and 0 <= t < ch.dim):
         raise ValueError(f"kernel indices ({s}, {t}) out of range for dim {ch.dim}")
     unit = np.zeros((ch.dim, ch.dim), dtype=complex)

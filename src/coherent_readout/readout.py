@@ -89,11 +89,10 @@ def oracle_probabilities(ch: KrausChannel, rho) -> np.ndarray:
 
     E(rho) = sum_a E_a rho E_a^dag is applied to the state itself, so this
     is independent of the POVM/coefficient route; used to cross-check forward().
+    apply judges the state's dimension against the channel's.
     """
     if not isinstance(rho, DensityMatrix):
         rho = DensityMatrix(rho)
-    if rho.dim != ch.dim:
-        raise ValueError(f"dimension mismatch: channel {ch.dim}, state {rho.dim}")
     return apply(ch, rho.matrix).diagonal().real.copy()
 
 

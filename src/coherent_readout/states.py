@@ -131,6 +131,8 @@ def assemble_matrix(x, y) -> np.ndarray:
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
+    if x.ndim == 0 or x.shape[-1] == 0:
+        raise ValueError(f"populations must have at least one level, got shape {x.shape}")
     n = x.shape[-1]
     expected = x.shape[:-1] + (n * (n - 1),)
     if y.shape != expected:

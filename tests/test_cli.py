@@ -260,6 +260,41 @@ def test_forward_both_mode_reads_the_channel_once(capsys, write_json, monkeypatc
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize(
+    "argv, reads",
+    [
+        (["forward", "--mode", "model", "--model", "model.json", "--channel", "ch.json"], ["model.json"]),
+        (["forward", "--mode", "model", "--channel", "ch.json"], ["ch.json"]),
+        (["forward", "--mode", "oracle", "--model", "model.json", "--channel", "ch.json"], ["ch.json"]),
+        (["forward", "--mode", "both", "--model", "model.json", "--channel", "ch.json"], ["model.json", "ch.json"]),
+        (["forward", "--mode", "both", "--channel", "ch.json"], ["ch.json"]),
+        (["oracle", "--channel", "ch.json"], ["ch.json"]),
+    ],
+    ids=["model-file", "model-of-channel", "oracle", "both-files", "both-of-channel", "oracle-command"],
+)
+def test_forward_reads_each_file_once_model_first(capsys, write_json, monkeypatch, argv, reads):
+    files = {
+        name: write_json(name, doc)
+        for name, doc in [
+            ("ch.json", ROTATION),
+            ("model.json", {"A": [[1, 0], [0, 1]], "C": [[0, 0], [0, 0]]}),
+            ("state.json", PLUS_STATE),
+        ]
+    }
+    names = {path: name for name, path in files.items()}
+    calls = []
+    original = formats.load_json_file
+
+    def recording(path):
+        calls.append(names[path])
+        return original(path)
+
+    monkeypatch.setattr(formats, "load_json_file", recording)
+    code, _ = run(capsys, *[files.get(arg, arg) for arg in argv], "--state", files["state.json"])
+    assert code == 0
+    assert calls == reads + ["state.json"]
+
+
 def test_forward_accepts_coordinate_states(capsys, write_json):
     ch = write_json("ch.json", ROTATION)
     st = write_json("state.json", {"x": [0.5, 0.5], "y": [0.5, 0.0]})
@@ -553,6 +588,9 @@ LEVELS_65_STATE = {"x": [1] + [0] * 64, "y": [0] * (65 * 64)}
          {"model": {"dim": 4, "A": [[1, 0], [0, 1]], "C": [[0, 0], [0, 0]]}}),
         (["mitigate", "--channel", "ch", "--counts", "counts"], {"counts": {"counts": [-1, 2]}}),
         (["mitigate", "--channel", "ch", "--counts", "counts"], {"counts": {"counts": [0, 0]}}),
+        (["channel-validate", "--channel", "ch"], {"ch": {"builtin": 3}}),
+        (["forward", "--channel", "ch", "--state", "state"], {"state": [[1, 0], [0, 0]]}),
+        (["mitigate", "--channel", "ch", "--z", "z"], {"z": {"p": [0.5, 0.5]}}),
     ],
     ids=["short-y", "empty-x", "wrong-C-shape", "non-square-A", "negative-seed",
          "state-vs-channel", "state-vs-model", "model-vs-state", "oracle-state-vs-channel",
@@ -561,7 +599,8 @@ LEVELS_65_STATE = {"x": [1] + [0] * 64, "y": [0] * (65 * 64)}
          "model-above-64-forward", "model-above-64-mitigate", "state-above-64",
          "channel-without-kraus", "channel-dim-vs-n", "channel-empty-kraus", "tensor-of-one",
          "unknown-builtin", "state-without-matrix", "column-order", "model-empty-A",
-         "model-dim-vs-A", "counts-negative", "counts-all-zero"],
+         "model-dim-vs-A", "counts-negative", "counts-all-zero", "builtin-not-a-string",
+         "state-a-list", "distribution-without-z-or-counts"],
 )
 def test_schema_violation_is_usage_error(capsys, write_json, argv, docs):
     docs = {"ch": AMP_DAMP, "state": GROUND_STATE, **docs}

@@ -7,13 +7,16 @@ import pytest
 from coherent_readout.channels import (
     CptpReport,
     KrausChannel,
+    adjoint_apply,
     amplitude_damping,
+    apply,
+    identity,
     pauli_channel,
     rotation_y,
     validate_cptp,
 )
-from coherent_readout.povm import Povm, PovmReport, effective_povm
-from coherent_readout.readout import ReadoutModel, classical_forward, extract
+from coherent_readout.povm import Povm, PovmReport, effective_povm, kernel
+from coherent_readout.readout import ReadoutModel, classical_forward, extract, oracle_probabilities
 from coherent_readout.solver import (
     MitigationProblem,
     SolverOptions,
@@ -21,7 +24,7 @@ from coherent_readout.solver import (
     mitigate,
     project_to_density_set,
 )
-from coherent_readout.states import DensityMatrix, StateDecomposition
+from coherent_readout.states import DensityMatrix, StateDecomposition, assemble_matrix, decompose
 
 
 def one_level_model():
@@ -179,3 +182,48 @@ def test_overflowing_sums_are_judged_without_warning(name):
         return
     x, y = call()
     assert np.array_equal(x, [0.5, 0.5]) and np.array_equal(y, [0.0, 0.0])
+
+
+# Input of no level, of the wrong shape or dimension, or a non-integer index:
+# (call, the exception it raises, its message). Each ends in the package's own
+# error, not in an IndexError or a numpy reduction's.
+MALFORMED_CALLS = {
+    "project_to_density_set-empty": (
+        lambda: project_to_density_set([], []), ValueError, r"at least one level, got shape \(0,\)",
+    ),
+    "project_to_density_set-0-d": (
+        lambda: project_to_density_set(1.0, []), ValueError, r"at least one level, got shape \(\)",
+    ),
+    "assemble_matrix-stack-of-no-level": (
+        lambda: assemble_matrix(np.zeros((3, 0)), np.zeros((3, 0))), ValueError, "at least one level",
+    ),
+    "DensityMatrix-empty": (lambda: DensityMatrix(np.zeros((0, 0))), ValueError, "non-empty square 2-d"),
+    "DensityMatrix-not-square": (lambda: DensityMatrix(np.ones((2, 3))), ValueError, "non-empty square 2-d"),
+    "decompose-empty": (lambda: decompose(np.zeros((0, 0))), ValueError, "non-empty square 2-d"),
+    "oracle_probabilities-empty": (
+        lambda: oracle_probabilities(identity(2), np.zeros((0, 0))), ValueError, "non-empty square 2-d",
+    ),
+    "oracle_probabilities-dimension": (
+        lambda: oracle_probabilities(identity(2), np.eye(4) / 4),
+        ValueError,
+        "^dimension mismatch: channel 2, state 4$",
+    ),
+    "apply-dimension": (
+        lambda: apply(identity(2), np.eye(4)), ValueError, "^dimension mismatch: channel 2, state 4$",
+    ),
+    "adjoint_apply-dimension": (
+        lambda: adjoint_apply(identity(2), np.eye(4)),
+        ValueError,
+        "^dimension mismatch: channel 2, operator 4$",
+    ),
+    "StateDecomposition-empty": (lambda: StateDecomposition([], []), ValueError, "non-empty 1-d"),
+    "pauli_channel-2-d": (lambda: pauli_channel([[0.25] * 4]), ValueError, "non-empty 1-d"),
+    "kernel-float-index": (lambda: kernel(identity(2), 1.0, 0), TypeError, "must be integers"),
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED_CALLS)
+def test_malformed_input_raises_the_packages_own_error(name):
+    call, exception, message = MALFORMED_CALLS[name]
+    with pytest.raises(exception, match=message):
+        call()
